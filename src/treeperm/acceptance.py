@@ -45,7 +45,7 @@ class AcceptanceResult:
 
 
 def _result(name: str, budget: float | None, fn: Callable[[], str]) -> AcceptanceResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         detail = fn()
         ok = True
@@ -53,7 +53,7 @@ def _result(name: str, budget: float | None, fn: Callable[[], str]) -> Acceptanc
         detail = f"{type(exc).__name__}: {exc}"
         ok = False
     return AcceptanceResult(name=name, ok=ok, detail=detail,
-                            elapsed=time.time() - t0, budget=budget)
+                            elapsed=time.perf_counter() - t0, budget=budget)
 
 
 # -- 1 & 2: Tate sweep and p-residual oracle over Sym(5) ---------------------

@@ -13,15 +13,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import acceptance
 from .config import DEFAULT_CAPS, DEFAULT_SEED, TOOL_VERSION, Caps
 from .criteria import evaluate, survey
 from .errors import InputError, ResourceLimitError
-from .groups import PermGroup, named_group, parse_group_file, is_named_family
+from .groups import PermGroup, parse_group_spec
 from .lattice import SubsetAlgebra, cone_bits, lattice_sweep, rist
-from .localact import ball_stabilizer_group, defect_set, edge_ball_group, type_preserving_subgroup
+from .localact import (ball_stabilizer_group, defect_set, edge_ball_group,
+                       is_ball_automorphism, type_preserving_subgroup)
 from .perms import Permutation
 from .series import (parse_prime_set, p_residual_series, pi_core, sylow_certificate,
                      sylow_subgroup, tate_check, verify_normal, SeriesCertificate)
@@ -30,18 +32,17 @@ from .treeball import (ball_to_json, build_ball, coloring_from_json, is_legal,
 from .wreath import WreathTower, direct_square, sylow_tower, wreath_tower
 
 
-def load_group(spec: str) -> PermGroup:
-    """Named family, `file:<path>` group file, or inline file-format text."""
-    if spec.startswith("file:"):
-        path = Path(spec[5:])
-        if not path.exists():
-            raise InputError(f"group file not found: {path}")
-        return parse_group_file(path.read_text(), name=path.stem)
-    if is_named_family(spec):
-        return named_group(spec)
-    if ":" in spec:
-        return parse_group_file(spec)
-    raise InputError(f"not a recognized group spec: {spec!r}")
+def _read_json(spec: str, flag: str) -> dict:
+    """JSON object from a `file:<path>` spec or inline text."""
+    try:
+        data = json.loads(Path(spec[5:]).read_text() if spec.startswith("file:") else spec)
+    except OSError as exc:
+        raise InputError(f"{flag}: cannot read {spec[5:]}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(f"{flag}: bad JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{flag}: expected a JSON object")
+    return data
 
 
 def _caps_from_args(args: argparse.Namespace) -> Caps:
@@ -60,8 +61,8 @@ def emit(result: dict, args: argparse.Namespace, caps: Caps, t0: float) -> None:
     envelope = {
         "tool_version": TOOL_VERSION,
         "seed": args.seed,
-        "caps": caps.as_dict(),
-        "wall_time_ms": int((time.time() - t0) * 1000),
+        "caps": asdict(caps),
+        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
         "result": result,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
@@ -86,8 +87,8 @@ def _group_summary(G: PermGroup) -> dict:
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_criteria_check(args, caps) -> tuple[dict, int]:
-    F = load_group(args.F)
-    Fp = load_group(args.Fprime)
+    F = parse_group_spec(args.F)
+    Fp = parse_group_spec(args.Fprime)
     report = evaluate(args.d, F, Fp, caps)
     code = 0 if report.sandwich_ok else 2
     return report.as_dict(), code
@@ -124,7 +125,7 @@ def cmd_criteria_survey(args, caps) -> tuple[dict, int]:
 
 
 def cmd_wreath_build(args, caps) -> tuple[dict, int]:
-    base = load_group(args.base)
+    base = parse_group_spec(args.base)
     result: dict = {"base": _group_summary(base), "depth": args.depth}
     if args.sylow is not None:
         tower = sylow_tower(base, args.sylow, args.depth, caps)
@@ -154,8 +155,7 @@ def cmd_tree_ball(args, caps) -> tuple[dict, int]:
     if color == "legal":
         ball = legal_coloring(ball)
     elif color.startswith("file:"):
-        data = json.loads(Path(color[5:]).read_text())
-        ball = coloring_from_json(ball, data)
+        ball = coloring_from_json(ball, _read_json(color, "--color"))
     elif color != "none":
         raise InputError(f"--color must be 'legal', 'none', or 'file:<path>', got {color!r}")
     doc = ball_to_json(ball)
@@ -171,7 +171,7 @@ def cmd_tree_ball(args, caps) -> tuple[dict, int]:
 
 
 def cmd_ball_group(args, caps) -> tuple[dict, int]:
-    F = load_group(args.F)
+    F = parse_group_spec(args.F)
     ball = legal_coloring(build_ball(args.d, args.radius, args.center, caps))
     if args.center == "vertex":
         B = ball_stabilizer_group(ball, F, caps)
@@ -197,28 +197,31 @@ def cmd_ball_group(args, caps) -> tuple[dict, int]:
 
 
 def cmd_ball_defects(args, caps) -> tuple[dict, int]:
-    F = load_group(args.F)
-    Fp = load_group(args.Fprime)
+    F = parse_group_spec(args.F)
+    Fp = parse_group_spec(args.Fprime)
     ball = legal_coloring(build_ball(args.d, args.radius, "vertex", caps))
-    data = json.loads(Path(args.element[5:]).read_text()) if args.element.startswith("file:") \
-        else json.loads(args.element)
-    images = data["vertex_images"]
+    images = _read_json(args.element, "--element").get("vertex_images")
+    if not isinstance(images, list):
+        raise InputError("--element: expected a 'vertex_images' list")
     if len(images) != ball.n_vertices:
         raise InputError(
             f"element has {len(images)} vertex images, ball has {ball.n_vertices}")
     g = Permutation(images)
+    if not is_ball_automorphism(ball, g):
+        raise InputError("element is not an automorphism of the ball: "
+                         "it must fix the center and preserve adjacency")
     report = defect_set(ball, g, F, Fp)
     return report.as_dict(), 0
 
 
 def cmd_tate_verify(args, caps) -> tuple[dict, int]:
-    G = load_group(args.group)
+    G = parse_group_spec(args.group)
     report = tate_check(G, args.p, caps)
     return report.as_dict(), 0
 
 
 def cmd_series_op(args, caps) -> tuple[dict, int]:
-    G = load_group(args.group)
+    G = parse_group_spec(args.group)
     if args.kind == "sylow":
         if args.p is None:
             raise InputError("--p is required for --kind sylow")
@@ -260,7 +263,11 @@ def _parse_tower(spec: str, caps: Caps) -> WreathTower:
     base_spec, sep, depth = spec.rpartition(":")
     if not sep:
         raise InputError("tower spec is <base>:<depth>, e.g. Klein4:2")
-    return wreath_tower(load_group(base_spec), int(depth), caps, verify_order=False)
+    try:
+        n = int(depth)
+    except ValueError as exc:
+        raise InputError(f"bad tower depth {depth!r} in {spec!r}") from exc
+    return wreath_tower(parse_group_spec(base_spec), n, caps, verify_order=False)
 
 
 def _parse_subset(T: WreathTower, spec: str) -> int:
@@ -304,7 +311,7 @@ def cmd_lattice_sweep(args, caps) -> tuple[dict, int]:
         "pairs_checked": len(checks),
         "all_meet_identities_hold": all(c.meet_identity_holds for c in checks),
         "all_disjoint_pairs_commute": all(c.disjoint_commutes for c in checks if c.disjoint),
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
     }, 0
 
 
@@ -443,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     caps = _caps_from_args(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result, code = args.handler(args, caps)
     except (InputError, ResourceLimitError) as exc:

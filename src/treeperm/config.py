@@ -31,16 +31,5 @@ class Caps:
     def with_overrides(self, **kwargs) -> "Caps":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
-    def as_dict(self) -> dict:
-        return {
-            "element_cap": self.element_cap,
-            "subgroup_cap": self.subgroup_cap,
-            "leaf_cap": self.leaf_cap,
-            "ball_order_cap": self.ball_order_cap,
-            "ball_vertex_cap": self.ball_vertex_cap,
-            "tree_vertex_cap": self.tree_vertex_cap,
-            "pair_cap": self.pair_cap,
-        }
-
 
 DEFAULT_CAPS = Caps()

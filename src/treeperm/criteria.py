@@ -11,7 +11,7 @@ certifies only the finite hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
@@ -41,10 +41,6 @@ class Verdict:
     applicable: bool
     cite: str
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "applicable": self.applicable, "cite": self.cite}
-
 
 @dataclass
 class CriterionReport:
@@ -67,7 +63,7 @@ class CriterionReport:
             "inputs": {"d": self.d, "F": self.F_spec, "Fprime": self.Fp_spec},
             "facts": self.facts,
             "sandwich_ok": self.sandwich_ok,
-            "verdicts": [v.as_dict() for v in self.verdicts],
+            "verdicts": [asdict(v) for v in self.verdicts],
             "eta": self.eta,
         }
 
@@ -149,14 +145,13 @@ def verdicts_from_facts(facts: dict) -> list[Verdict]:
     ]
 
 
-def evaluate(d: int, F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS,
-             eta_depth: int = 2) -> CriterionReport:
+def evaluate(d: int, F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> CriterionReport:
     """Full criteria report for the pair (F, F') at degree d."""
     if F.degree != d or Fp.degree != d:
         raise InputError(f"local groups must have degree {d}")
     facts = compute_facts(F, Fp)
     verdicts = verdicts_from_facts(facts)
-    eta = sorted(eta_estimate(F, eta_depth, caps)) if d >= 3 else []
+    eta = sorted(eta_estimate(F, 2, caps)) if d >= 3 else []
     return CriterionReport(
         d=d, F_spec=F.name or "custom", Fp_spec=Fp.name or "custom",
         facts=facts, verdicts=verdicts, eta=eta,

@@ -8,7 +8,7 @@ criteria.
 
 from __future__ import annotations
 
-import threading
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bsgs import StabilizerChain, reduce_generators
@@ -21,8 +21,7 @@ class PermGroup:
     """Permutation group on {0,...,degree-1} given by generators.
 
     Immutable after construction except the lazily built stabilizer
-    chain, which is populated under an internal lock so concurrent
-    readers see a consistent structure.
+    chain and element list.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -41,19 +40,26 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
         self._chain: StabilizerChain | None = None
-        self._chain_lock = threading.Lock()
         self._elements: tuple[Permutation, ...] | None = None
+
+    @classmethod
+    def from_elements(cls, degree: int, elements: Iterable[tuple]) -> "PermGroup":
+        """Group generated by image tuples, keeping only those that grow it.
+
+        The sift chain built on the way becomes the group's chain.
+        """
+        kept, chain = reduce_generators(degree, elements)
+        group = cls(degree, [Permutation(t) for t in kept])
+        group._chain = chain
+        return group
 
     # -- BSGS ------------------------------------------------------------
 
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            with self._chain_lock:
-                if self._chain is None:
-                    self._chain = StabilizerChain.from_generators(
-                        self.degree, [g.images for g in self.generators]
-                    )
+            self._chain = StabilizerChain.from_generators(
+                self.degree, [g.images for g in self.generators])
         return self._chain
 
     def order(self) -> int:
@@ -77,28 +83,9 @@ class PermGroup:
         Deliberately does not consult the BSGS, so closure counts can
         serve as an independent oracle for chain orders.
         """
-        if self._elements is not None:
-            return self._elements
-        cap = caps.element_cap
-        ident = Permutation.identity(self.degree)
-        seen = {ident.images}
-        frontier = [ident]
-        out = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in self.generators:
-                    u = w * g
-                    if u.images not in seen:
-                        if len(seen) >= cap:
-                            raise ResourceLimitError(
-                                "element enumeration", cap, len(seen) + 1, "--element-cap")
-                        seen.add(u.images)
-                        nxt.append(u)
-                        out.append(u)
-            frontier = nxt
-        out.sort()
-        self._elements = tuple(out)
+        if self._elements is None:
+            self._elements = tuple(sorted(
+                closure_elements(self.degree, self.generators, caps.element_cap)))
         return self._elements
 
     # -- orbits and stabilizers -------------------------------------------
@@ -153,8 +140,7 @@ class PermGroup:
                 s = transversal[g(u)].inverse() * g * tu
                 if not s.is_identity():
                     schreier.append(s.images)
-        kept, _ = reduce_generators(self.degree, schreier)
-        return PermGroup(self.degree, [Permutation(t) for t in kept])
+        return PermGroup.from_elements(self.degree, schreier)
 
     # -- predicates --------------------------------------------------------
 
@@ -248,10 +234,7 @@ class PermGroup:
                 decided.update(cls)
             else:
                 decided.update(cls & u_elems)
-        kept, chain = reduce_generators(self.degree, core)
-        result = PermGroup(self.degree, [Permutation(t) for t in kept])
-        result._chain = chain
-        return result
+        return PermGroup.from_elements(self.degree, core)
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup: normal closure of generator-pair commutators."""
@@ -267,14 +250,9 @@ class PermGroup:
         """Centralizer of H in self, by exhaustive element scan."""
         if H.degree != self.degree:
             raise InputError("centralizer: degree mismatch")
-        hits = []
-        for g in self.elements(caps):
-            if all((g * h).images == (h * g).images for h in H.generators):
-                hits.append(g.images)
-        kept, chain = reduce_generators(self.degree, hits)
-        result = PermGroup(self.degree, [Permutation(t) for t in kept])
-        result._chain = chain
-        return result
+        return PermGroup.from_elements(
+            self.degree, (g.images for g in self.elements(caps)
+                          if all((g * h).images == (h * g).images for h in H.generators)))
 
     def center(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         return self.centralizer(self, caps)
@@ -284,11 +262,8 @@ class PermGroup:
         if other.degree != self.degree:
             raise InputError("intersection: degree mismatch")
         small, big = (self, other) if self.order() <= other.order() else (other, self)
-        hits = [g.images for g in small.elements(caps) if big.membership(g)]
-        kept, chain = reduce_generators(self.degree, hits)
-        result = PermGroup(self.degree, [Permutation(t) for t in kept])
-        result._chain = chain
-        return result
+        return PermGroup.from_elements(
+            self.degree, (g.images for g in small.elements(caps) if big.membership(g)))
 
     def _require_subgroup(self, K: "PermGroup", op: str) -> None:
         if K.degree != self.degree:
@@ -377,6 +352,7 @@ _FAMILY_BUILDERS = {
     "alt": alternating,
     "cyc": cyclic,
     "dih": dihedral,
+    "triv": trivial,
 }
 
 
@@ -391,8 +367,6 @@ def named_group(spec: str) -> PermGroup:
     if "(" in text and text.endswith(")"):
         head, _, arg = text[:-1].partition("(")
         key = head.strip().lower()
-        if key == "triv":
-            return trivial(int(arg))
         if key in _FAMILY_BUILDERS:
             try:
                 n = int(arg)
@@ -400,14 +374,6 @@ def named_group(spec: str) -> PermGroup:
                 raise InputError(f"bad family argument in {spec!r}") from exc
             return _FAMILY_BUILDERS[key](n)
     raise InputError(f"unknown group family: {spec!r}")
-
-
-def is_named_family(spec: str) -> bool:
-    try:
-        named_group(spec)
-        return True
-    except InputError:
-        return False
 
 
 def parse_group_file(text: str, name: str | None = None) -> PermGroup:
@@ -458,9 +424,15 @@ def render_group_file(G: PermGroup) -> str:
 
 
 def parse_group_spec(text: str) -> PermGroup:
-    """Accept a named family or the group-file format."""
-    if is_named_family(text):
+    """Named family, `file:<path>` group file, or inline group-file text."""
+    if text.startswith("file:"):
+        path = Path(text[5:])
+        if not path.exists():
+            raise InputError(f"group file not found: {path}")
+        return parse_group_file(path.read_text(), name=path.stem)
+    try:
         return named_group(text)
-    if ":" in text:
-        return parse_group_file(text)
-    raise InputError(f"not a recognized group spec: {text!r}")
+    except InputError:
+        if ":" not in text:
+            raise InputError(f"not a recognized group spec: {text!r}") from None
+    return parse_group_file(text)

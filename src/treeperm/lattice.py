@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bsgs import reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
 from .perms import Permutation
 from .portraits import vertex_portrait, flatten
-from .wreath import WreathTower, tower_order
+from .wreath import WreathTower, rigid_stabilizer, tower_order
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,8 @@ def support(g: Permutation) -> int:
 
 def rist_exhaustive(G: PermGroup, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Pointwise stabilizer of the complement, by element scan."""
-    hits = [g.images for g in G.elements(caps) if support(g) & ~bits == 0]
-    kept, chain = reduce_generators(G.degree, hits)
-    result = PermGroup(G.degree, [Permutation(t) for t in kept])
-    result._chain = chain
-    return result
+    return PermGroup.from_elements(
+        G.degree, (g.images for g in G.elements(caps) if support(g) & ~bits == 0))
 
 
 def cone_bits(T: WreathTower, vertex: tuple[int, ...]) -> int:
@@ -87,11 +83,12 @@ def cone_bits(T: WreathTower, vertex: tuple[int, ...]) -> int:
     return ((1 << len(leaves)) - 1) << leaves.start
 
 
-def _panel_stabilizer_gens(F: PermGroup, fixed: list[int], caps: Caps) -> list[Permutation]:
+def _panel_stabilizer_gens(F: PermGroup, fixed: list[int],
+                           caps: Caps) -> tuple[Permutation, ...]:
     """Generators of the pointwise stabilizer of `fixed` in F."""
-    hits = [s.images for s in F.elements(caps) if all(s(j) == j for j in fixed)]
-    kept, _ = reduce_generators(F.degree, hits)
-    return [Permutation(t) for t in kept]
+    return PermGroup.from_elements(
+        F.degree, (s.images for s in F.elements(caps) if all(s(j) == j for j in fixed))
+    ).generators
 
 
 def rist_tower(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -102,18 +99,12 @@ def rist_tower(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGrou
         raise InputError("subset has bits beyond the leaf set")
     gens: list[Permutation] = []
 
-    def full_cone_gens(vertex: tuple[int, ...]) -> None:
-        k = len(vertex)
-        for g, (site, _) in zip(T.group.generators, T.generator_sites):
-            if site[:k] == vertex:
-                gens.append(g)
-
     def rec(vertex: tuple[int, ...]) -> None:
         k = len(vertex)
         cone = cone_bits(T, vertex)
         sub = bits & cone
         if sub == cone:
-            full_cone_gens(vertex)
+            gens.extend(rigid_stabilizer(T, vertex).generators)
             return
         if sub == 0 or k == n:
             return
@@ -127,10 +118,7 @@ def rist_tower(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGrou
 
     if n > 0:
         rec(())
-    kept, chain = reduce_generators(max(ground, 1), [g.images for g in gens])
-    result = PermGroup(max(ground, 1), [Permutation(t) for t in kept])
-    result._chain = chain
-    return result
+    return PermGroup.from_elements(max(ground, 1), (g.images for g in gens))
 
 
 def rist(G: PermGroup | WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -213,11 +201,6 @@ def fixed_subsets(G: PermGroup, max_count: int = 1 << 20) -> list[int]:
     return sorted(set(out), key=lambda b: (bin(b).count("1"), b))
 
 
-def is_topologically_transitive_analog(G: PermGroup) -> bool:
-    """Only invariant subsets are empty and full, i.e. G is transitive."""
-    return G.is_transitive()
-
-
 # -- pairwise checks -------------------------------------------------------------
 
 @dataclass
@@ -234,22 +217,6 @@ class PairCheck:
     disjoint_commutes: bool | None
     complement_centralizer_contains: bool
     complement_centralizer_equals: bool | None
-
-    def as_dict(self) -> dict:
-        return {
-            "subset_a": self.subset_a,
-            "subset_b": self.subset_b,
-            "rist_a_order": self.rist_a_order,
-            "rist_b_order": self.rist_b_order,
-            "meet_rist_order": self.meet_rist_order,
-            "intersection_order": self.intersection_order,
-            "intersection_method": self.intersection_method,
-            "meet_identity_holds": self.meet_identity_holds,
-            "disjoint": self.disjoint,
-            "disjoint_commutes": self.disjoint_commutes,
-            "complement_centralizer_contains": self.complement_centralizer_contains,
-            "complement_centralizer_equals": self.complement_centralizer_equals,
-        }
 
 
 def _commute_groupwise(A: PermGroup, B: PermGroup) -> bool:

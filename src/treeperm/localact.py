@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bsgs import StabilizerChain
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
@@ -224,16 +223,16 @@ def _generate(graft: _Graft, branches: list[bool],
     if ball.n_vertices > graft.caps.ball_vertex_cap:
         raise ResourceLimitError("ball vertices", graft.caps.ball_vertex_cap,
                                  ball.n_vertices, "--ball-vertex-cap (or reduce the radius)")
-    chain = StabilizerChain(ball.n_vertices)
-    kept: list[Permutation] = []
     count = 0
-    for branch in branches:
-        for images in _enumerate(graft, branch, set(forced_identity)):
-            count += 1
-            if chain.add_generator(images):
-                kept.append(Permutation(images))
-    group = PermGroup(ball.n_vertices, kept)
-    group._chain = chain
+
+    def counted():
+        nonlocal count
+        for branch in branches:
+            for images in _enumerate(graft, branch, set(forced_identity)):
+                count += 1
+                yield images
+
+    group = PermGroup.from_elements(ball.n_vertices, counted())
     if group.order() != count:
         raise AssertionError(
             f"graft count {count} disagrees with BSGS order {group.order()}")

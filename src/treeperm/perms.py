@@ -6,8 +6,9 @@ Points are 0-indexed internally; cycle notation at I/O boundaries is
 
 from __future__ import annotations
 
+import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError
 
@@ -85,12 +86,7 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        return math.lcm(*map(len, self.cycles()))
 
     def fixed_points(self) -> list[int]:
         return [i for i, j in enumerate(self.images) if i == j]
@@ -183,26 +179,3 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         degree = max((p for c in cycles for p in c), default=-1) + 1
     return Permutation.from_cycles(cycles, degree)
 
-
-def iterate_words(gens: list[Permutation]) -> Iterator[Permutation]:
-    """BFS over products of generators, starting at the identity.
-
-    Yields each group element exactly once; the caller bounds the walk.
-    """
-    if not gens:
-        return
-    degree = gens[0].degree
-    ident = Permutation.identity(degree)
-    seen = {ident.images}
-    frontier = [ident]
-    yield ident
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = w * g
-                if u.images not in seen:
-                    seen.add(u.images)
-                    nxt.append(u)
-                    yield u
-        frontier = nxt

@@ -56,7 +56,10 @@ def p_part(n: int, p: int) -> int:
 
 
 def parse_prime_set(text: str) -> frozenset[int]:
-    primes = frozenset(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        primes = frozenset(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise InputError(f"prime set must be integers, got {text!r}") from exc
     for p in primes:
         if not is_prime(p):
             raise InputError(f"{p} is not prime")

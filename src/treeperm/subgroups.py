@@ -17,6 +17,7 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
 from .groups import PermGroup
 from .perms import Permutation
+from .series import prime_factors
 
 
 @dataclass
@@ -103,18 +104,8 @@ def _prime_power_atoms(table: _Table) -> list[int]:
         while x != table.ident:
             powers.append(x)
             x = table.mul[x][i]
-        o = len(powers)
-        # prime power?
-        p = 2
-        n = o
-        while p * p <= n:
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                break
-            p += 1
-        if n != o and n != 1:
-            continue  # at least two prime factors
+        if len(prime_factors(len(powers))) > 1:
+            continue  # not of prime-power order
         cyc = frozenset(powers)
         if cyc not in seen_cyclic:
             seen_cyclic.add(cyc)

@@ -15,7 +15,7 @@ from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
 from .perms import Permutation
 from .portraits import flatten, vertex_portrait
-from .series import sylow_subgroup
+from .series import p_part, sylow_subgroup
 
 
 def tower_vertex_count(d: int, n: int) -> int:
@@ -114,17 +114,9 @@ def sylow_tower(F: PermGroup, p: int, depth: int, caps: Caps = DEFAULT_CAPS,
         for g in tower.group.generators:
             if not ambient.group.membership(g):
                 raise AssertionError("Sylow tower generator escapes the ambient tower")
-        if tower.group.order() != _p_part(ambient.group.order(), p):
+        if tower.group.order() != p_part(ambient.group.order(), p):
             raise AssertionError("Sylow tower order is not the p-part of the ambient order")
     return tower
-
-
-def _p_part(n: int, p: int) -> int:
-    m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
-    return m
 
 
 def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:

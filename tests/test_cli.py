@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from treeperm.cli import main, load_group
-from treeperm.errors import InputError
+from treeperm.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -199,10 +198,34 @@ def test_survey_table_format(capsys):
     assert len(lines) == 3  # header + C3 + S3
 
 
-def test_load_group_file(tmp_path):
-    path = tmp_path / "klein.grp"
-    path.write_text("degree: 4\ngen: (1 2)(3 4)\ngen: (1 3)(2 4)\n")
-    G = load_group(f"file:{path}")
-    assert G.order() == 4
-    with pytest.raises(InputError):
-        load_group("file:/nonexistent/x.grp")
+DEFECTS = ["ball", "defects", "--d", "3", "--F", "Alt(3)", "--Fprime", "Sym(3)"]
+
+MALFORMED = {
+    "element-bad-json": DEFECTS + ["--radius", "2", "--element", "{bad"],
+    "element-missing-file": DEFECTS + ["--radius", "2", "--element",
+                                       "file:/nonexistent.json"],
+    "element-no-vertex-images": DEFECTS + ["--radius", "2", "--element", "{}"],
+    "element-not-object": DEFECTS + ["--radius", "2", "--element", "[0, 1]"],
+    "element-not-automorphism": DEFECTS + [
+        "--radius", "2", "--element",
+        json.dumps({"vertex_images": [0, 1, 2, 3, 6, 5, 4, 7, 8, 9]})],
+    "element-moves-center": DEFECTS + [
+        "--radius", "1", "--element", json.dumps({"vertex_images": [1, 0, 2, 3]})],
+    "color-missing-file": ["tree", "ball", "--d", "3", "--radius", "2",
+                           "--color", "file:/nonexistent.json"],
+    "rist-bad-depth": ["lattice", "rist", "--tower", "Klein4:x", "--subset", "1"],
+    "sweep-bad-depth": ["lattice", "sweep", "--tower", "Klein4:x"],
+    "triv-bad-argument": ["wreath", "build", "--base", "Triv(x)", "--depth", "2"],
+    "pi-not-integer": ["series", "op", "--group", "Sym(4)", "--kind", "core",
+                       "--pi", "2,x"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if "vertex_images" in argv[-1]:
+        assert "not an automorphism" in err

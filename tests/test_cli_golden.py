@@ -1,0 +1,43 @@
+"""Golden CLI output: sha256 of each JSON envelope minus its wall_time_ms line.
+
+The digests pin the exact bytes the CLI writes, so a refactor that is
+meant to keep behaviour the same must leave every one of them unchanged.
+A deliberate output change updates the digest in the same commit.
+"""
+
+import hashlib
+
+import pytest
+
+from treeperm.cli import main
+
+GOLDEN = [
+    ("criteria check --d 5 --F Alt(5) --Fprime Sym(5)", 0, "ceaf50bc3ebecc567bd17f84fec1530916f61817c3f3db8f67a9e7299ef988a9"),
+    ("criteria survey --d 4", 0, "e12a12a4b1ddd14619bfd6f72f7141fa667643ef8161b7f8122108c4c6bcee1a"),
+    ("criteria survey --d 5 --transitive-only", 0, "32978c7e048ed0ae4ea2afd8f9f6e8499a40416a7996298015262755354b67e1"),
+    ("wreath build --base Sym(3) --depth 3", 0, "35b39e55ef0bb1e2ce0da9299b00fe481912bd7e3fa84bf4b815d12e642a8fdf"),
+    ("wreath build --base Alt(4) --depth 2 --sylow 2", 0, "6db77dc6bb779ac6a2bcbddf34e8495151051cc670cc1b4f1c2faeb23eba8cc9"),
+    ("wreath build --base Sym(2) --depth 3 --square", 0, "755765f08fd503b42a528ce69d972684370523489b7236be7848bb23f70cbf99"),
+    ("tree ball --d 3 --radius 2", 0, "ccea35dbc259da0be88a4bd71512e83fd508fc27157874f7e170134e6397d80a"),
+    ("ball group --d 3 --radius 2 --F Sym(3)", 0, "df56b10d56cd63979d55f4ddb3977b4ff80488a20569dca161fda3a1c39262eb"),
+    ("ball group --d 3 --radius 2 --F Sym(3) --center edge", 0, "aa56cdb7686a1dd4cdd5385c5200544a5577bde63584c8d9f5811ea592b40507"),
+    ("tate verify --group Sym(5) --p 2", 0, "98ffa73958e292ae6f041df989520d1533b575a9b03089df870a77bb614e6564"),
+    ("tate verify --group Alt(5) --p 5", 0, "65a5ee3d44a735f29f1fbafa330c812faedbd42ac2ed39b4cdd01fa00ec70516"),
+    ("series op --group Sym(5) --kind sylow --p 2", 0, "d3b310c5ab9eeade7d2281084a36e62dd2de7feae22b814cee3bc0e6e33920e7"),
+    ("series op --group Sym(6) --kind residual --p 2", 0, "7db27e5dba3cfcc278ab9de6d56f51f25b3051a95b2dda1e5c9a409618cdf2e0"),
+    ("series op --group Sym(4) --kind core --p 2", 0, "2883a1c54d0a6f780916d48b8c93d932d3e157b9b3df01c9292937bc998e63a8"),
+    ("series op --group Dih(6) --kind core --pi 2,3", 0, "8fcb15b40b1fb37dbf3aea52bc465273791f120492e27a0b6bc58988f9b55b6e"),
+    ("lattice rist --tower Klein4:2 --subset 1,2.1", 0, "703bb23f7fe364974ff2bb526600243ecc5805214d03edc139bf510a0bf42101"),
+    ("lattice sweep --tower Sym(2):3", 0, "0e8443d43bec0903eb69eff07fcf0418e13b4bfe513bc34e5ff3c724d0a9263a"),
+    ("lattice sweep --tower Klein4:2", 0, "889c1a3ce03bcff696695e274ceea2daa6ced5848bbf82044f97a9e5e1673869"),
+    ("lattice sweep --tower Klein4:3 --max-pairs 14", 0, "169b9a2e598eed4146a31f9123eb857d6a13e2184872866c5c73eb795379fcda"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_cli_output_digest(capsys, command, exit_code, digest):
+    assert main(command.split()) == exit_code
+    out = capsys.readouterr().out
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith('  "wall_time_ms": '))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest

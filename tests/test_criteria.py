@@ -47,8 +47,7 @@ def test_sandwich_violation_marks_not_applicable():
 
 def test_verdicts_are_pure_functions_of_facts():
     facts = compute_facts(alternating(5), symmetric(5))
-    assert [v.as_dict() for v in verdicts_from_facts(facts)] == \
-        [v.as_dict() for v in verdicts_from_facts(dict(facts))]
+    assert verdicts_from_facts(facts) == verdicts_from_facts(dict(facts))
 
 
 def test_oracle_facts_agree_on_survey_grid():

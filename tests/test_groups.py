@@ -201,6 +201,15 @@ def test_named_specs():
         parse_group_spec("Quaternions(8)")
 
 
+def test_parse_group_spec_file(tmp_path):
+    path = tmp_path / "klein.grp"
+    path.write_text("degree: 4\ngen: (1 2)(3 4)\ngen: (1 3)(2 4)\n")
+    G = parse_group_spec(f"file:{path}")
+    assert G.order() == 4 and G.name == "klein"
+    with pytest.raises(InputError):
+        parse_group_spec("file:/nonexistent/x.grp")
+
+
 def test_random_element_lies_in_group():
     rng = random.Random(3)
     G = frobenius20()

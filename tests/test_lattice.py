@@ -9,7 +9,6 @@ from treeperm.config import DEFAULT_CAPS
 from treeperm.groups import PermGroup, symmetric, klein4, trivial
 from treeperm.lattice import (SubsetAlgebra, act_on_subset, cone_bits,
                               cone_union_pool, count_supported, fixed_subsets,
-                              is_topologically_transitive_analog,
                               lattice_check_pair, lattice_sweep, rist,
                               rist_exhaustive, rist_tower, support)
 from treeperm.perms import parse_cycles
@@ -149,7 +148,7 @@ def test_fixed_subsets():
     # transitive wreath tower: only trivial invariant subsets
     T = wreath_tower(symmetric(2), 2)
     assert fixed_subsets(T.group) == [0, SubsetAlgebra(4).full]
-    assert is_topologically_transitive_analog(T.group)
+    assert T.group.is_transitive()
     # trivial group fixes everything
     assert len(fixed_subsets(trivial(3))) == 8
     # intransitive base: orbit-block unions appear
@@ -157,4 +156,4 @@ def test_fixed_subsets():
     T2 = wreath_tower(F, 2)
     fixed = fixed_subsets(T2.group)
     assert len(fixed) == 16  # four leaf orbits: 2x2 block, two edges, one fixed leaf
-    assert not is_topologically_transitive_analog(T2.group)
+    assert not T2.group.is_transitive()
