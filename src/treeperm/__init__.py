@@ -10,8 +10,8 @@ from .groups import (PermGroup, alternating, cyclic, dihedral, frobenius20,
 from .portraits import Portrait, flatten, identity_portrait, portrait_compose, portrait_inverse
 from .wreath import WreathTower, direct_square, rigid_stabilizer, sylow_tower, wreath_tower
 from .treeball import TreeBall, build_ball, is_legal, is_valid_coloring, legal_coloring
-from .localact import (BallGroup, ball_stabilizer_group, defect_set, edge_ball_group,
-                       in_Uc, local_action, type_preserving_subgroup)
+from .localact import (BallGroup, Graft, ball_stabilizer_group, defect_set, edge_ball_group,
+                       in_Uc, local_action)
 from .lattice import (SubsetAlgebra, cone_bits, lattice_check_pair, lattice_checks,
                       lattice_sweep, rist)
 from .series import (frattini_quotient_rank, p_residual, pi_core, sylow_subgroup,

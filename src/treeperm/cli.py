@@ -19,11 +19,11 @@ from pathlib import Path
 from . import acceptance
 from .config import DEFAULT_CAPS, DEFAULT_SEED, TOOL_VERSION, Caps
 from .criteria import evaluate, survey
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_input_file
 from .groups import PermGroup, parse_group_spec
 from .lattice import SubsetAlgebra, cone_bits, lattice_sweep, rist
 from .localact import (ball_stabilizer_group, defect_set, edge_ball_group,
-                       is_ball_automorphism, type_preserving_subgroup)
+                       is_ball_automorphism)
 from .perms import Permutation
 from .series import (parse_prime_set, p_residual_series, pi_core, sylow_certificate,
                      sylow_subgroup, tate_check, verify_normal, SeriesCertificate)
@@ -34,10 +34,9 @@ from .wreath import WreathTower, direct_square, sylow_tower, wreath_tower
 
 def _read_json(spec: str, flag: str) -> dict:
     """JSON object from a `file:<path>` spec or inline text."""
+    text = read_input_file(spec[5:], flag) if spec.startswith("file:") else spec
     try:
-        data = json.loads(Path(spec[5:]).read_text() if spec.startswith("file:") else spec)
-    except OSError as exc:
-        raise InputError(f"{flag}: cannot read {spec[5:]}: {exc.strerror}") from exc
+        data = json.loads(text)
     except ValueError as exc:
         raise InputError(f"{flag}: bad JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -128,8 +127,7 @@ def cmd_wreath_build(args, caps) -> tuple[dict, int]:
     base = parse_group_spec(args.base)
     result: dict = {"base": _group_summary(base), "depth": args.depth}
     if args.sylow is not None:
-        tower = sylow_tower(base, args.sylow, args.depth, caps)
-        ambient = wreath_tower(base, args.depth, caps)
+        tower, ambient = sylow_tower(base, args.sylow, args.depth, caps)
         result["sylow_p"] = args.sylow
         result["ambient_order"] = ambient.group.order()
         result["certified"] = {
@@ -183,7 +181,7 @@ def cmd_ball_group(args, caps) -> tuple[dict, int]:
         }
     else:
         B = edge_ball_group(ball, F, caps)
-        tp = type_preserving_subgroup(B, caps)
+        tp = B.type_preserving
         result = {
             "order": B.order(),
             "enumerated": B.enumerated_count,

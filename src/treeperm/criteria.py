@@ -19,7 +19,7 @@ from .groups import PermGroup, closure_elements
 from .series import prime_factors, p_part
 from .subgroups import SubgroupClass, enumerate_subgroups_up_to_conjugacy
 from .treeball import build_ball, legal_coloring
-from .localact import formula_order
+from .localact import Graft
 
 CITES = {
     "nondiscrete": ("restricted universal groups are non-discrete exactly when F "
@@ -170,7 +170,7 @@ def ball_stabilizer_order(F: PermGroup, radius: int, caps: Caps = DEFAULT_CAPS) 
     if radius == 0:
         return 1
     ball = legal_coloring(build_ball(F.degree, radius, "vertex", caps))
-    return formula_order(ball, F, caps)
+    return Graft(ball, F, caps).count()
 
 
 def eta_estimate(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:

@@ -1,6 +1,8 @@
-"""Error types shared across the toolkit."""
+"""Error types shared across the toolkit, and the one reader of input files."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class InputError(ValueError):
@@ -23,3 +25,13 @@ class ResourceLimitError(RuntimeError):
             f"{cap_name} cap exceeded: requested {requested}, cap {cap_value} "
             f"(raise with {flag})"
         )
+
+
+def read_input_file(path: str, what: str) -> str:
+    """UTF-8 text of a user-named file; an unreadable file is one InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{what}: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what}: {path} is not UTF-8 text") from exc

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .bsgs import StabilizerChain, reduce_generators
 from .config import DEFAULT_CAPS, Caps
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, read_input_file
 from .perms import Permutation, commutator, parse_cycles
 
 
@@ -81,11 +81,15 @@ class PermGroup:
         """All elements by BFS closure over the generators, sorted.
 
         Deliberately does not consult the BSGS, so closure counts can
-        serve as an independent oracle for chain orders.
+        serve as an independent oracle for chain orders.  A cached list
+        larger than `caps.element_cap` is refused as a fresh run would be.
         """
         if self._elements is None:
             self._elements = tuple(sorted(
                 closure_elements(self.degree, self.generators, caps.element_cap)))
+        elif len(self._elements) > caps.element_cap:
+            raise ResourceLimitError("element enumeration", caps.element_cap,
+                                     caps.element_cap + 1, "--element-cap")
         return self._elements
 
     # -- orbits and stabilizers -------------------------------------------
@@ -178,9 +182,6 @@ class PermGroup:
             if len(orb) >= 3:
                 gens.append(Permutation.from_cycles([orb], self.degree))
         return PermGroup(self.degree, gens)
-
-    def conjugated(self, by: Permutation) -> "PermGroup":
-        return PermGroup(self.degree, [by * g * by.inverse() for g in self.generators])
 
     def normal_closure(self, K: "PermGroup") -> "PermGroup":
         """Smallest normal subgroup of self containing K."""
@@ -426,10 +427,8 @@ def render_group_file(G: PermGroup) -> str:
 def parse_group_spec(text: str) -> PermGroup:
     """Named family, `file:<path>` group file, or inline group-file text."""
     if text.startswith("file:"):
-        path = Path(text[5:])
-        if not path.exists():
-            raise InputError(f"group file not found: {path}")
-        return parse_group_file(path.read_text(), name=path.stem)
+        return parse_group_file(read_input_file(text[5:], "group file"),
+                                name=Path(text[5:]).stem)
     try:
         return named_group(text)
     except InputError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
@@ -87,12 +88,16 @@ def defect_set(ball: TreeBall, g: Permutation, F: PermGroup, Fp: PermGroup) -> D
     return DefectReport(defects=defects, violations=violations)
 
 
-# -- grafting enumeration -----------------------------------------------------
+# -- grafting ---------------------------------------------------------------------
 
-class _Graft:
-    """Shared tables for panel-constrained enumeration over one ball."""
+class Graft:
+    """Per-(ball, F) tables for panel-constrained counting, enumeration and sampling.
 
-    def __init__(self, ball: TreeBall, F: PermGroup, caps: Caps):
+    Build one per (ball, F) and reuse it: every ball group, graft count
+    and random sample over that pair reads the same transition cosets.
+    """
+
+    def __init__(self, ball: TreeBall, F: PermGroup, caps: Caps = DEFAULT_CAPS):
         if not ball.is_colored():
             raise InputError("ball groups need a colored ball")
         if F.degree != ball.d:
@@ -109,134 +114,128 @@ class _Graft:
         self.interior = sorted(ball.interior_vertices(),
                                key=lambda v: (ball.depth[v], v))
 
-    def coset(self, i: int, j: int) -> list[Permutation]:
-        return self.by_transition.get((i, j), [])
+    def count(self, swap: bool = False) -> int:
+        """Exact graft count: product of per-vertex compatible-coset sizes.
 
-    def stabilizer_size(self, i: int) -> int:
-        return len(self.coset(i, i))
+        For a vertex center: |F| times the product of |F_{inward color}|
+        over interior non-center vertices (transition cosets all have
+        stabilizer size since inherited colors stay in the F-orbit).  For
+        an edge center, both endpoints contribute constrained factors; with
+        `swap` the count is for endpoint-swapping assignments.
+        """
+        images = self._roots(swap)
+        total = 1
+        # sizes are choice-independent, so one sweep with any concrete panels works
+        for v in self.interior:
+            choices = self._choices(images, v)
+            total *= len(choices)
+            if total == 0:
+                return 0
+            self._apply(images, v, choices[0])
+        return total
 
+    def _roots(self, swap: bool) -> list[int | None]:
+        images: list[int | None] = [None] * self.ball.n_vertices
+        if self.ball.center_kind == "vertex":
+            images[0] = 0
+        elif not swap:
+            images[0], images[1] = 0, 1
+        else:
+            images[0], images[1] = 1, 0
+        return images
 
-def _apply_panel(ball: TreeBall, images: list[int], v: int, sigma: Permutation) -> None:
-    """Place the images of v's children as dictated by the panel at v."""
-    w = images[v]
-    for u in ball.children[v]:
-        images[u] = ball.nbr_by_color[w][sigma(ball.color_of[v][u])]
+    def _choices(self, images: list[int], v: int,
+                 forced_identity: frozenset[int] = frozenset()) -> Sequence[Permutation]:
+        ball = self.ball
+        if ball.parent[v] is None:
+            # free center vertex
+            choices = self.elems
+        else:
+            i = ball.inward_color(v)
+            j = ball.color_of[images[v]][images[ball.parent[v]]]
+            choices = self.by_transition.get((i, j), [])
+        if v in forced_identity:
+            ident = Permutation.identity(ball.d)
+            return [ident] if any(s.images == ident.images for s in choices) else []
+        return choices
 
+    def _apply(self, images: list[int], v: int, sigma: Permutation) -> None:
+        """Place the images of v's children as dictated by the panel at v."""
+        ball = self.ball
+        w = images[v]
+        for u in ball.children[v]:
+            images[u] = ball.nbr_by_color[w][sigma(ball.color_of[v][u])]
 
-def _root_assignments(ball: TreeBall, swap: bool) -> list[int | None]:
-    images: list[int | None] = [None] * ball.n_vertices
-    if ball.center_kind == "vertex":
-        images[0] = 0
-    elif not swap:
-        images[0], images[1] = 0, 1
-    else:
-        images[0], images[1] = 1, 0
-    return images
+    def _leaves(self, swap: bool, forced_identity: frozenset[int]):
+        """Yield the vertex-image tuples of all panel-compatible automorphisms."""
+        ball = self.ball
+        images = self._roots(swap)
 
+        def rec(idx: int):
+            if idx == len(self.interior):
+                yield tuple(images)
+                return
+            v = self.interior[idx]
+            saved = [images[u] for u in ball.children[v]]
+            for sigma in self._choices(images, v, forced_identity):
+                self._apply(images, v, sigma)
+                yield from rec(idx + 1)
+            for u, old in zip(ball.children[v], saved):
+                images[u] = old
 
-def _panel_choices(graft: _Graft, images: list[int], v: int,
-                   forced_identity: set[int]) -> list[Permutation]:
-    ball = graft.ball
-    if ball.parent[v] is None:
-        # free center vertex
-        choices = list(graft.elems)
-    else:
-        i = ball.inward_color(v)
-        j = ball.color_of[images[v]][images[ball.parent[v]]]
-        choices = graft.coset(i, j)
-    if v in forced_identity:
-        ident = Permutation.identity(ball.d)
-        return [ident] if any(s.images == ident.images for s in choices) else []
-    return choices
+        yield from rec(0)
 
+    def _check_caps(self, predicted: int) -> None:
+        if predicted > self.caps.ball_order_cap:
+            raise ResourceLimitError("ball group order", self.caps.ball_order_cap, predicted,
+                                     "--ball-order-cap (or reduce the radius)")
+        if self.ball.n_vertices > self.caps.ball_vertex_cap:
+            raise ResourceLimitError("ball vertices", self.caps.ball_vertex_cap,
+                                     self.ball.n_vertices,
+                                     "--ball-vertex-cap (or reduce the radius)")
 
-def _enumerate(graft: _Graft, swap: bool, forced_identity: set[int]):
-    """Yield the vertex-image tuples of all panel-compatible automorphisms."""
-    ball = graft.ball
-    images = _root_assignments(ball, swap)
+    def _generate(self, swap: bool, forced_identity: frozenset[int] = frozenset(),
+                  base: PermGroup | None = None) -> tuple[PermGroup, int]:
+        """Enumerate one swap-branch after `base`'s generators; build a reduced
+        generator set on the fly and certify chain order == base order + graft count.
 
-    def rec(idx: int):
-        if idx == len(graft.interior):
-            yield tuple(images)
-            return
-        v = graft.interior[idx]
-        saved = [images[u] for u in ball.children[v]]
-        for sigma in _panel_choices(graft, images, v, forced_identity):
-            _apply_panel(ball, images, v, sigma)
-            yield from rec(idx + 1)
-        for u, old in zip(ball.children[v], saved):
-            images[u] = old
+        A generator that does not grow the chain leaves it untouched, so
+        continuing from `base`'s kept generators keeps exactly the
+        generators one pass over both branches would keep.
+        """
+        count = 0
 
-    yield from rec(0)
+        def counted():
+            nonlocal count
+            if base is not None:
+                yield from (g.images for g in base.generators)
+            for images in self._leaves(swap, forced_identity):
+                count += 1
+                yield images
 
-
-def formula_order(ball: TreeBall, F: PermGroup, caps: Caps = DEFAULT_CAPS,
-                  swap: bool = False) -> int:
-    """Exact graft count: product of per-vertex compatible-coset sizes.
-
-    For a vertex center: |F| times the product of |F_{inward color}|
-    over interior non-center vertices (transition cosets all have
-    stabilizer size since inherited colors stay in the F-orbit).  For
-    an edge center, both endpoints contribute constrained factors; with
-    `swap` the count is for endpoint-swapping assignments.
-    """
-    graft = _Graft(ball, F, caps)
-    images = _root_assignments(ball, swap)
-    total = 1
-    # sizes are choice-independent, so one sweep with any concrete panels works
-    for v in graft.interior:
-        choices = _panel_choices(graft, images, v, set())
-        total *= len(choices)
-        if total == 0:
-            return 0
-        _apply_panel(ball, images, v, choices[0])
-    return total
+        group = PermGroup.from_elements(self.ball.n_vertices, counted())
+        expected = count + (base.order() if base is not None else 0)
+        if group.order() != expected:
+            raise AssertionError(
+                f"graft count {expected} disagrees with BSGS order {group.order()}")
+        return group, count
 
 
 @dataclass
 class BallGroup:
     """A generated group of color-constrained ball automorphisms."""
 
-    ball: TreeBall
-    local_group: PermGroup
+    graft: Graft
     group: PermGroup
     enumerated_count: int
     formula_count: int
-    includes_swap: bool = False
     fixing_count: int | None = None
     swap_count: int | None = None
+    # endpoint-fixing subgroup of an edge ball group
+    type_preserving: PermGroup | None = None
 
     def order(self) -> int:
         return self.group.order()
-
-
-def _generate(graft: _Graft, branches: list[bool],
-              forced_identity: set[int] = frozenset()) -> tuple[PermGroup, int]:
-    """Enumerate all elements over the given swap-branches; build a reduced
-    generator set on the fly and certify chain order == graft count."""
-    ball = graft.ball
-    predicted = sum(formula_order(ball, graft.F, graft.caps, swap=b) for b in branches) \
-        if not forced_identity else None
-    if predicted is not None and predicted > graft.caps.ball_order_cap:
-        raise ResourceLimitError("ball group order", graft.caps.ball_order_cap, predicted,
-                                 "--ball-order-cap (or reduce the radius)")
-    if ball.n_vertices > graft.caps.ball_vertex_cap:
-        raise ResourceLimitError("ball vertices", graft.caps.ball_vertex_cap,
-                                 ball.n_vertices, "--ball-vertex-cap (or reduce the radius)")
-    count = 0
-
-    def counted():
-        nonlocal count
-        for branch in branches:
-            for images in _enumerate(graft, branch, set(forced_identity)):
-                count += 1
-                yield images
-
-    group = PermGroup.from_elements(ball.n_vertices, counted())
-    if group.order() != count:
-        raise AssertionError(
-            f"graft count {count} disagrees with BSGS order {group.order()}")
-    return group, count
 
 
 def ball_stabilizer_group(ball: TreeBall, F: PermGroup,
@@ -244,43 +243,41 @@ def ball_stabilizer_group(ball: TreeBall, F: PermGroup,
     """Center-fixing automorphisms of a vertex-centered ball, panels in F."""
     if ball.center_kind != "vertex":
         raise InputError("ball_stabilizer_group expects a vertex-centered ball")
-    graft = _Graft(ball, F, caps)
-    group, count = _generate(graft, branches=[False])
-    return BallGroup(ball=ball, local_group=F, group=group,
-                     enumerated_count=count,
-                     formula_count=formula_order(ball, F, caps))
+    graft = Graft(ball, F, caps)
+    formula = graft.count()
+    graft._check_caps(formula)
+    group, count = graft._generate(False)
+    return BallGroup(graft=graft, group=group, enumerated_count=count,
+                     formula_count=formula)
 
 
 def edge_ball_group(ball: TreeBall, F: PermGroup,
                     caps: Caps = DEFAULT_CAPS) -> BallGroup:
-    """Center-edge-preserving automorphisms, endpoint swaps included."""
+    """Center-edge-preserving automorphisms, endpoint swaps included.
+
+    The endpoint-fixing branch is generated first and kept as
+    `type_preserving`; the swap branch continues from its generators.
+    """
     if ball.center_kind != "edge":
         raise InputError("edge_ball_group expects an edge-centered ball")
-    graft = _Graft(ball, F, caps)
-    group, count = _generate(graft, branches=[False, True])
-    fixing = formula_order(ball, F, caps, swap=False)
-    swapping = formula_order(ball, F, caps, swap=True)
-    return BallGroup(ball=ball, local_group=F, group=group,
-                     enumerated_count=count, formula_count=fixing + swapping,
-                     includes_swap=True, fixing_count=fixing, swap_count=swapping)
+    graft = Graft(ball, F, caps)
+    fixing, swapping = graft.count(swap=False), graft.count(swap=True)
+    graft._check_caps(fixing + swapping)
+    tp, fixing_leaves = graft._generate(False)
+    group, swap_leaves = graft._generate(True, base=tp)
+    return BallGroup(graft=graft, group=group,
+                     enumerated_count=fixing_leaves + swap_leaves,
+                     formula_count=fixing + swapping, fixing_count=fixing,
+                     swap_count=swapping, type_preserving=tp)
 
 
-def type_preserving_subgroup(B: BallGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Endpoint-fixing subgroup of an edge ball group."""
-    if B.ball.center_kind != "edge":
-        raise InputError("type_preserving_subgroup expects an edge ball group")
-    graft = _Graft(B.ball, B.local_group, caps)
-    group, _ = _generate(graft, branches=[False])
-    return group
-
-def half_ball_rigid_stabilizers(B: BallGroup, caps: Caps = DEFAULT_CAPS
-                                ) -> tuple[PermGroup, PermGroup]:
+def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
     """Pointwise stabilizers of each half of an edge-centered ball.
 
     The half containing endpoint 0 is everything whose root path leads
     to 0; the returned pair is (fixes half of 0, fixes half of 1).
     """
-    ball = B.ball
+    ball = B.graft.ball
     if ball.center_kind != "edge":
         raise InputError("half-ball stabilizers expect an edge-centered ball")
 
@@ -289,38 +286,31 @@ def half_ball_rigid_stabilizers(B: BallGroup, caps: Caps = DEFAULT_CAPS
             v = ball.parent[v]
         return v
 
-    graft = _Graft(ball, B.local_group, caps)
     out = []
     for fixed_endpoint in (0, 1):
-        forced = {v for v in ball.interior_vertices() if side(v) == fixed_endpoint}
-        group, _ = _generate(graft, branches=[False], forced_identity=forced)
+        forced = frozenset(v for v in ball.interior_vertices() if side(v) == fixed_endpoint)
+        group, _ = B.graft._generate(False, forced_identity=forced)
         out.append(group)
     return out[0], out[1]
 
 
 # -- random sampling -----------------------------------------------------------
 
-def random_ball_automorphism(ball: TreeBall, F: PermGroup, rng: random.Random,
-                             caps: Caps = DEFAULT_CAPS, swap: bool = False,
+def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = False,
                              defect_panels: dict[int, PermGroup] | None = None
                              ) -> Permutation:
-    """Uniform element of the panel-constrained group (product measure).
+    """Uniform element of the graft's panel-constrained group (product measure).
 
     `defect_panels` overrides the allowed local group at chosen interior
     vertices (e.g. F' at one vertex to force a defect); an empty
     compatible coset raises InputError naming the vertex.
     """
-    graft = _Graft(ball, F, caps)
-    grafts = {}
-    if defect_panels:
-        for v, H in defect_panels.items():
-            grafts[v] = _Graft(ball, H, caps)
-    images = _root_assignments(ball, swap)
+    grafts = {v: Graft(graft.ball, H, graft.caps)
+              for v, H in (defect_panels or {}).items()}
+    images = graft._roots(swap)
     for v in graft.interior:
-        use = grafts.get(v, graft)
-        choices = _panel_choices(use, images, v, set())
+        choices = grafts.get(v, graft)._choices(images, v)
         if not choices:
             raise InputError(f"no compatible panel at vertex {v}")
-        sigma = choices[rng.randrange(len(choices))]
-        _apply_panel(ball, images, v, sigma)
+        graft._apply(images, v, choices[rng.randrange(len(choices))])
     return Permutation(images)

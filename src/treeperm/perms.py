@@ -144,11 +144,6 @@ def commutator(g: Permutation, h: Permutation) -> Permutation:
     return g * h * g.inverse() * h.inverse()
 
 
-def conjugate(g: Permutation, by: Permutation) -> Permutation:
-    """by g by^-1."""
-    return by * g * by.inverse()
-
-
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 
 

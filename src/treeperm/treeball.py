@@ -229,11 +229,19 @@ def coloring_from_json(ball: TreeBall, data: dict) -> TreeBall:
         raise InputError("coloring file does not match the ball shape")
     directed = {eid: (v, u) for eid, v, u in ball.directed_edges()}
     edge_colors: dict[tuple[int, int], int] = {}
-    for rec in data.get("edges", []):
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise InputError("coloring file: 'edges' must be a list")
+    for rec in edges:
+        if not isinstance(rec, dict):
+            raise InputError(f"coloring file: edge record {rec!r} is not an object")
         eid = rec.get("id")
-        if eid not in directed:
+        if not isinstance(eid, int) or eid not in directed:
             raise InputError(f"unknown edge id {eid} in coloring file")
         if "color" not in rec:
             raise InputError(f"edge id {eid} has no color")
-        edge_colors[directed[eid]] = rec["color"] - 1
+        color = rec["color"]
+        if not isinstance(color, int) or isinstance(color, bool):
+            raise InputError(f"edge id {eid}: color {color!r} is not an integer")
+        edge_colors[directed[eid]] = color - 1
     return coloring_from_edges(ball, edge_colors)

@@ -100,23 +100,23 @@ def wreath_tower(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS,
     return tower
 
 
-def sylow_tower(F: PermGroup, p: int, depth: int, caps: Caps = DEFAULT_CAPS,
-                certify: bool = True) -> WreathTower:
-    """W_depth(P) for P a p-Sylow subgroup of F.
+def sylow_tower(F: PermGroup, p: int, depth: int, caps: Caps = DEFAULT_CAPS
+                ) -> tuple[WreathTower, WreathTower]:
+    """W_depth(P) for P a p-Sylow subgroup of F, with the ambient W_depth(F).
 
     Certified against the ambient tower: the flattened Sylow tower
     embeds in W_depth(F) and its order is the p-part of |W_depth(F)|.
+    Returns (Sylow tower, ambient tower).
     """
     P = sylow_subgroup(F, p, caps)
     tower = wreath_tower(P, depth, caps)
-    if certify:
-        ambient = wreath_tower(F, depth, caps)
-        for g in tower.group.generators:
-            if not ambient.group.membership(g):
-                raise AssertionError("Sylow tower generator escapes the ambient tower")
-        if tower.group.order() != p_part(ambient.group.order(), p):
-            raise AssertionError("Sylow tower order is not the p-part of the ambient order")
-    return tower
+    ambient = wreath_tower(F, depth, caps)
+    for g in tower.group.generators:
+        if not ambient.group.membership(g):
+            raise AssertionError("Sylow tower generator escapes the ambient tower")
+    if tower.group.order() != p_part(ambient.group.order(), p):
+        raise AssertionError("Sylow tower order is not the p-part of the ambient order")
+    return tower, ambient
 
 
 def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:

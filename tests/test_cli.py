@@ -199,6 +199,7 @@ def test_survey_table_format(capsys):
 
 
 DEFECTS = ["ball", "defects", "--d", "3", "--F", "Alt(3)", "--Fprime", "Sym(3)"]
+COLOR_FILE = ["tree", "ball", "--d", "3", "--radius", "1", "--color", "file:{tmp}/input"]
 
 MALFORMED = {
     "element-bad-json": DEFECTS + ["--radius", "2", "--element", "{bad"],
@@ -218,11 +219,30 @@ MALFORMED = {
     "triv-bad-argument": ["wreath", "build", "--base", "Triv(x)", "--depth", "2"],
     "pi-not-integer": ["series", "op", "--group", "Sym(4)", "--kind", "core",
                        "--pi", "2,x"],
+    "color-edges-not-list": COLOR_FILE,
+    "color-edge-not-object": COLOR_FILE,
+    "color-id-is-list": COLOR_FILE,
+    "color-not-integer": COLOR_FILE,
+    "group-file-is-directory": ["wreath", "build", "--base", "file:{tmp}", "--depth", "2"],
+    "group-file-not-utf8": ["wreath", "build", "--base", "file:{tmp}/input", "--depth", "2"],
+}
+
+SHAPE = {"d": 3, "radius": 1, "center": "vertex"}
+# bytes written to {tmp}/input before the command runs
+INPUT_FILES = {
+    "color-edges-not-list": json.dumps({**SHAPE, "edges": 5}).encode(),
+    "color-edge-not-object": json.dumps({**SHAPE, "edges": [1]}).encode(),
+    "color-id-is-list": json.dumps({**SHAPE, "edges": [{"id": [0], "color": 1}]}).encode(),
+    "color-not-integer": json.dumps({**SHAPE, "edges": [{"id": 0, "color": "red"}]}).encode(),
+    "group-file-not-utf8": b"degree: 3\ngen: (1 2)\xff\n",
 }
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_one_error_line(capsys, argv):
+@pytest.mark.parametrize("case", MALFORMED, ids=MALFORMED.keys())
+def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
+    if case in INPUT_FILES:
+        (tmp_path / "input").write_bytes(INPUT_FILES[case])
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in MALFORMED[case]]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -1,4 +1,5 @@
-"""Golden CLI output: sha256 of each JSON envelope minus its wall_time_ms line.
+"""Golden CLI output: sha256 of each JSON envelope minus its wall_time_ms line,
+and the exact text of the ball cap refusals.
 
 The digests pin the exact bytes the CLI writes, so a refactor that is
 meant to keep behaviour the same must leave every one of them unchanged.
@@ -16,11 +17,14 @@ GOLDEN = [
     ("criteria survey --d 4", 0, "e12a12a4b1ddd14619bfd6f72f7141fa667643ef8161b7f8122108c4c6bcee1a"),
     ("criteria survey --d 5 --transitive-only", 0, "32978c7e048ed0ae4ea2afd8f9f6e8499a40416a7996298015262755354b67e1"),
     ("wreath build --base Sym(3) --depth 3", 0, "35b39e55ef0bb1e2ce0da9299b00fe481912bd7e3fa84bf4b815d12e642a8fdf"),
+    ("wreath build --base Sym(3) --depth 3 --sylow 3", 0, "c38b4798cc673c08c77214b731b5ce5d9d373857fe3437b95b89e683be07ef0d"),
     ("wreath build --base Alt(4) --depth 2 --sylow 2", 0, "6db77dc6bb779ac6a2bcbddf34e8495151051cc670cc1b4f1c2faeb23eba8cc9"),
     ("wreath build --base Sym(2) --depth 3 --square", 0, "755765f08fd503b42a528ce69d972684370523489b7236be7848bb23f70cbf99"),
     ("tree ball --d 3 --radius 2", 0, "ccea35dbc259da0be88a4bd71512e83fd508fc27157874f7e170134e6397d80a"),
     ("ball group --d 3 --radius 2 --F Sym(3)", 0, "df56b10d56cd63979d55f4ddb3977b4ff80488a20569dca161fda3a1c39262eb"),
     ("ball group --d 3 --radius 2 --F Sym(3) --center edge", 0, "aa56cdb7686a1dd4cdd5385c5200544a5577bde63584c8d9f5811ea592b40507"),
+    ("ball group --d 4 --radius 2 --F Dih(4) --center edge", 0, "cf37641d7e481b264c2c322d72e60df99650302956049863c4924b16b1b76cb3"),
+    ("ball group --d 5 --radius 1 --F Sym(5) --center edge", 0, "f47fc5d6f3b9475d9ec839cb6a8ad2ad42d4e6ad8d2fd65d740349fed18b8f0d"),
     ("tate verify --group Sym(5) --p 2", 0, "98ffa73958e292ae6f041df989520d1533b575a9b03089df870a77bb614e6564"),
     ("tate verify --group Alt(5) --p 5", 0, "65a5ee3d44a735f29f1fbafa330c812faedbd42ac2ed39b4cdd01fa00ec70516"),
     ("series op --group Sym(5) --kind sylow --p 2", 0, "d3b310c5ab9eeade7d2281084a36e62dd2de7feae22b814cee3bc0e6e33920e7"),
@@ -41,3 +45,28 @@ def test_cli_output_digest(capsys, command, exit_code, digest):
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith('  "wall_time_ms": '))
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
+BALL_R2 = "ball group --d 3 --radius 2 --F Sym(3)"
+BALL_R3 = "ball group --d 3 --radius 3 --F Sym(3)"
+REFUSALS = [
+    (BALL_R2 + " --ball-order-cap 10",
+     "error: ball group order cap exceeded: requested 48, cap 10 "
+     "(raise with --ball-order-cap (or reduce the radius))\n"),
+    (BALL_R2 + " --center edge --ball-order-cap 10",
+     "error: ball group order cap exceeded: requested 128, cap 10 "
+     "(raise with --ball-order-cap (or reduce the radius))\n"),
+    (BALL_R3 + " --ball-vertex-cap 10",
+     "error: ball vertices cap exceeded: requested 22, cap 10 "
+     "(raise with --ball-vertex-cap (or reduce the radius))\n"),
+    (BALL_R3 + " --center edge --ball-vertex-cap 10",
+     "error: ball vertices cap exceeded: requested 30, cap 10 "
+     "(raise with --ball-vertex-cap (or reduce the radius))\n"),
+]
+
+
+@pytest.mark.parametrize("command, stderr", REFUSALS, ids=[c for c, _ in REFUSALS])
+def test_cap_refusal_text(capsys, command, stderr):
+    assert main(command.split()) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", stderr)

@@ -175,6 +175,19 @@ def test_element_cap_is_loud():
     assert "100" in str(info.value)
 
 
+def test_cached_elements_respect_a_smaller_cap():
+    S5 = symmetric(5)
+    assert len(S5.elements()) == 120
+    caps = DEFAULT_CAPS.with_overrides(element_cap=10)
+    with pytest.raises(ResourceLimitError) as cached:
+        S5.elements(caps)
+    with pytest.raises(ResourceLimitError) as fresh:
+        symmetric(5).elements(caps)
+    assert str(cached.value) == str(fresh.value)
+    assert cached.value.requested == 11
+    assert len(S5.elements(DEFAULT_CAPS.with_overrides(element_cap=120))) == 120
+
+
 def test_group_file_round_trip():
     for G in [klein4(), frobenius20(), trivial(2)]:
         text = render_group_file(G)

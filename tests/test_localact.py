@@ -1,5 +1,6 @@
 """Local actions, panel-constrained ball groups, defects."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import PermGroup, alternating, cyclic, symmetric, trivial
-from treeperm.localact import (ball_stabilizer_group, defect_set, edge_ball_group,
-                               formula_order, half_ball_rigid_stabilizers, in_Uc,
+from treeperm import acceptance
+from treeperm.localact import (Graft, ball_stabilizer_group, defect_set, edge_ball_group,
+                               half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
-                               random_ball_automorphism, type_preserving_subgroup)
+                               random_ball_automorphism)
 from treeperm.perms import Permutation, parse_cycles
 from treeperm.treeball import build_ball, legal_coloring
 
@@ -133,10 +135,10 @@ def test_identity_has_empty_defect_set():
 def test_random_defect_grafting():
     b = ball(3, 2)
     rng = random.Random(5)
+    graft = Graft(b, alternating(3))
     hits = 0
     for _ in range(50):
-        g = random_ball_automorphism(b, alternating(3), rng,
-                                     defect_panels={2: symmetric(3)})
+        g = random_ball_automorphism(graft, rng, defect_panels={2: symmetric(3)})
         report = defect_set(b, g, alternating(3), symmetric(3))
         assert report.violations == []
         assert set(report.defects) <= {2}
@@ -144,9 +146,41 @@ def test_random_defect_grafting():
     assert hits > 0
 
 
+def test_seeded_samples_are_pinned():
+    # sha256 of 50 seeded samples over vertex, edge, swap and defect grafts;
+    # pins the draw order that criterion 6 relies on
+    configs = [(ball(3, 2), symmetric(3), False, None),
+               (ball(4, 2), alternating(4), False, None),
+               (ball(3, 2, "edge"), symmetric(3), False, None),
+               (ball(3, 2, "edge"), symmetric(3), True, None),
+               (ball(3, 2), alternating(3), False, {2: symmetric(3)})]
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for b, F, swap, defects in configs:
+        graft = Graft(b, F)
+        for _ in range(10):
+            g = random_ball_automorphism(graft, rng, swap=swap, defect_panels=defects)
+            digest.update(repr(g.images).encode())
+    assert digest.hexdigest() == \
+        "a5d5088ec23881877a01c7ecb27b77329e4aa966fa67178acac108078d6ca5fc"
+
+
+def test_criterion_6_builds_one_graft_per_configuration(monkeypatch):
+    built = []
+    init = Graft.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graft, "__init__", counting_init)
+    assert acceptance.criterion_06_cocycle().ok
+    assert len(built) == 8
+
+
 def test_edge_ball_group_structure():
     B = edge_ball_group(ball(3, 1, "edge"), symmetric(3))
-    tp = type_preserving_subgroup(B)
+    tp = B.type_preserving
     assert (B.order(), tp.order()) == (8, 4)
     h0, h1 = half_ball_rigid_stabilizers(B)
     assert h0.order() == h1.order() == 2
@@ -159,7 +193,7 @@ def test_d5_edge_ball_halves_match_wreath_pattern():
     # copies: Sym(4)^2 under Sym(5), Alt(4)^2 under Alt(5), at radius 1
     for F, half_order in [(symmetric(5), 24), (alternating(5), 12)]:
         B = edge_ball_group(ball(5, 1, "edge"), F)
-        tp = type_preserving_subgroup(B)
+        tp = B.type_preserving
         h0, h1 = half_ball_rigid_stabilizers(B)
         assert h0.order() == h1.order() == half_order
         assert tp.order() == half_order ** 2
@@ -171,6 +205,23 @@ def test_swap_count_equals_fixing_count_for_legal_colorings():
         b = ball(3, r, "edge")
         B = edge_ball_group(b, symmetric(3))
         assert B.fixing_count == B.swap_count == B.order() // 2
+        assert B.type_preserving.order() == B.fixing_count
+
+
+def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
+    leaves = []
+    enumerate_leaves = Graft._leaves
+
+    def counting_leaves(self, *args, **kwargs):
+        for images in enumerate_leaves(self, *args, **kwargs):
+            leaves.append(images)
+            yield images
+
+    monkeypatch.setattr(Graft, "_leaves", counting_leaves)
+    B = edge_ball_group(ball(4, 2, "edge"), cyclic(4))
+    assert B.type_preserving.order() * 2 == B.order()
+    assert len(leaves) == B.enumerated_count == B.order()
+    assert len(set(leaves)) == len(leaves)
 
 
 def test_radius_zero_and_boundary_freedom():
@@ -190,7 +241,7 @@ def test_formula_order_matches_enumeration_on_grid():
     for d, r, F in [(3, 1, symmetric(3)), (3, 2, cyclic(3)), (4, 1, alternating(4))]:
         b = ball(d, r)
         B = ball_stabilizer_group(b, F)
-        assert B.enumerated_count == formula_order(b, F) == B.order()
+        assert B.enumerated_count == Graft(b, F).count() == B.order()
 
 
 def test_degree_mismatch_rejected():

@@ -71,9 +71,9 @@ def test_wreath_nesting():
 
 
 def test_sylow_tower_examples():
-    T1 = sylow_tower(alternating(4), 2, 1)
-    assert T1.group.order() == 4
-    assert sylow_tower(cyclic3(), 2, 2).group.order() == 1
+    T1, W1 = sylow_tower(alternating(4), 2, 1)
+    assert (T1.group.order(), W1.group.order()) == (4, 12)
+    assert sylow_tower(cyclic3(), 2, 2)[0].group.order() == 1
 
 
 def cyclic3():
