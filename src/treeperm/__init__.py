@@ -12,8 +12,7 @@ from .wreath import WreathTower, direct_square, rigid_stabilizer, sylow_tower, w
 from .treeball import TreeBall, build_ball, is_legal, is_valid_coloring, legal_coloring
 from .localact import (BallGroup, Graft, ball_stabilizer_group, defect_set, edge_ball_group,
                        in_Uc, local_action)
-from .lattice import (SubsetAlgebra, cone_bits, lattice_check_pair, lattice_checks,
-                      lattice_sweep, rist)
+from .lattice import SubsetAlgebra, cone_bits, lattice_check_pair, lattice_sweep, rist
 from .series import (frattini_quotient_rank, p_residual, pi_core, sylow_subgroup,
                      tate_check)
 from .subgroups import enumerate_subgroups_up_to_conjugacy

@@ -239,8 +239,7 @@ class SurveyRow:
         }
 
 
-def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS,
-           with_eta: bool = True) -> list[SurveyRow]:
+def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> list[SurveyRow]:
     """One criteria row per conjugacy class of F' <= Sym(d), F = F'.
 
     Every row's facts are recomputed by the exhaustive no-BSGS oracle;
@@ -260,7 +259,7 @@ def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS,
         report = CriterionReport(
             d=d, F_spec=class_label(cls, d, idx), Fp_spec=class_label(cls, d, idx),
             facts=facts, verdicts=verdicts_from_facts(facts),
-            eta=sorted(eta_estimate(F, 2, caps)) if (with_eta and d >= 3) else [],
+            eta=sorted(eta_estimate(F, 2, caps)) if d >= 3 else [],
             sandwich_ok=True,
         )
         rows.append(SurveyRow(

@@ -374,7 +374,7 @@ def named_group(spec: str) -> PermGroup:
             except ValueError as exc:
                 raise InputError(f"bad family argument in {spec!r}") from exc
             return _FAMILY_BUILDERS[key](n)
-    raise InputError(f"unknown group family: {spec!r}")
+    raise InputError(f"not a recognized group spec: {spec!r}")
 
 
 def parse_group_file(text: str, name: str | None = None) -> PermGroup:
@@ -429,9 +429,6 @@ def parse_group_spec(text: str) -> PermGroup:
     if text.startswith("file:"):
         return parse_group_file(read_input_file(text[5:], "group file"),
                                 name=Path(text[5:]).stem)
-    try:
-        return named_group(text)
-    except InputError:
-        if ":" not in text:
-            raise InputError(f"not a recognized group spec: {text!r}") from None
-    return parse_group_file(text)
+    if ":" in text:
+        return parse_group_file(text)
+    return named_group(text)

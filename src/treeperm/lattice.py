@@ -1,13 +1,14 @@
-"""Boolean algebras of leaf subsets with rigid-stabilizer maps.
+"""Boolean algebra of the leaf subsets of a wreath tower, with its
+rigid-stabilizer map.
 
-Subsets of the ground set (leaves of a wreath tower, or any permutation
-domain) are bitmasks.  rist(alpha) is the subgroup acting trivially off
-alpha.  For wreath towers rist is computed structurally: at each vertex
-the allowed panel is the pointwise stabilizer in the base group of the
-children whose cones stick out of alpha, with full subtrees below
+Subsets of the leaves of W_n(F) are bitmasks.  rist(alpha) is the
+subgroup acting trivially off alpha, computed structurally: at each
+vertex the allowed panel is the pointwise stabilizer in the base group
+of the children whose cones stick out of alpha, with full subtrees below
 swallowed children.  A memoized counting recursion over the same
 portrait decomposition provides an order oracle that never builds the
-group.
+group.  The exhaustive element scan that rist is checked against lives
+in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .groups import PermGroup
 from .perms import Permutation
 from .portraits import vertex_portrait, flatten
@@ -32,51 +33,14 @@ class SubsetAlgebra:
     def full(self) -> int:
         return (1 << self.size) - 1
 
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
     def complement(self, a: int) -> int:
         return self.full ^ a
 
     def members(self, a: int) -> list[int]:
         return [i for i in range(self.size) if a >> i & 1]
 
-    def from_members(self, points) -> int:
-        bits = 0
-        for i in points:
-            if not 0 <= i < self.size:
-                raise InputError(f"point {i} outside ground set of size {self.size}")
-            bits |= 1 << i
-        return bits
-
-
-def act_on_subset(g: Permutation, bits: int) -> int:
-    out = 0
-    i = 0
-    while bits >> i:
-        if bits >> i & 1:
-            out |= 1 << g(i)
-        i += 1
-    return out
-
-
-def support(g: Permutation) -> int:
-    bits = 0
-    for i in g.moved_points():
-        bits |= 1 << i
-    return bits
-
 
 # -- rigid stabilizers --------------------------------------------------------
-
-def rist_exhaustive(G: PermGroup, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Pointwise stabilizer of the complement, by element scan."""
-    return PermGroup.from_elements(
-        G.degree, (g.images for g in G.elements(caps) if support(g) & ~bits == 0))
-
 
 def cone_bits(T: WreathTower, vertex: tuple[int, ...]) -> int:
     leaves = T.cone_leaves(vertex)
@@ -91,8 +55,9 @@ def _panel_stabilizer_gens(F: PermGroup, fixed: list[int],
     ).generators
 
 
-def rist_tower(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Structural rist for a wreath tower; exact for arbitrary leaf subsets."""
+def rist(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+    """Rigid stabilizer of the leaf subset `bits` (the elements fixing every
+    leaf outside it), built structurally; exact for arbitrary leaf subsets."""
     d, n = T.arity, T.depth
     ground = T.leaf_count
     if bits >> ground:
@@ -119,12 +84,6 @@ def rist_tower(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGrou
     if n > 0:
         rec(())
     return PermGroup.from_elements(max(ground, 1), (g.images for g in gens))
-
-
-def rist(G: PermGroup | WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    if isinstance(G, WreathTower):
-        return rist_tower(G, bits, caps)
-    return rist_exhaustive(G, bits, caps)
 
 
 # -- support-counting oracle ---------------------------------------------------
@@ -177,30 +136,6 @@ def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS) ->
     return rec(0, tuple(subsets))
 
 
-# -- invariant subsets ----------------------------------------------------------
-
-def fixed_subsets(G: PermGroup, max_count: int = 1 << 20) -> list[int]:
-    """All G-invariant subsets of the domain (unions of orbits)."""
-    orbits = G.orbits()
-    if 1 << len(orbits) > max_count:
-        raise ResourceLimitError("fixed subsets", max_count, 1 << len(orbits),
-                                 "max_count=")
-    masks = []
-    for orb in orbits:
-        m = 0
-        for i in orb:
-            m |= 1 << i
-        masks.append(m)
-    out = []
-    for pick in range(1 << len(masks)):
-        bits = 0
-        for i, m in enumerate(masks):
-            if pick >> i & 1:
-                bits |= m
-        out.append(bits)
-    return sorted(set(out), key=lambda b: (bin(b).count("1"), b))
-
-
 # -- pairwise checks -------------------------------------------------------------
 
 @dataclass
@@ -224,19 +159,17 @@ def _commute_groupwise(A: PermGroup, B: PermGroup) -> bool:
                for a in A.generators for b in B.generators)
 
 
-def lattice_check_pair(G: PermGroup | WreathTower, alpha: int, beta: int,
+def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
                        caps: Caps = DEFAULT_CAPS,
                        rist_cache: dict[int, PermGroup] | None = None,
                        centralizer_cache: dict[int, PermGroup] | None = None) -> PairCheck:
     """rist meet identity, disjoint-support commuting, complement centralizing."""
-    group = G.group if isinstance(G, WreathTower) else G
-    algebra = SubsetAlgebra(group.degree)
+    rist_cache = {} if rist_cache is None else rist_cache
+    centralizer_cache = {} if centralizer_cache is None else centralizer_cache
 
     def rist_of(bits: int) -> PermGroup:
-        if rist_cache is None:
-            return rist(G, bits, caps)
         if bits not in rist_cache:
-            rist_cache[bits] = rist(G, bits, caps)
+            rist_cache[bits] = rist(T, bits, caps)
         return rist_cache[bits]
 
     A = rist_of(alpha)
@@ -244,32 +177,24 @@ def lattice_check_pair(G: PermGroup | WreathTower, alpha: int, beta: int,
     L = rist_of(alpha & beta)
     contained = all(A.membership(g) and B.membership(g) for g in L.generators)
     # |A ∩ B|: exhaustively when one side is small, else the counting oracle
-    small = min(A.order(), B.order())
-    if small <= (5000 if isinstance(G, WreathTower) else caps.element_cap):
+    if min(A.order(), B.order()) <= 5000:
         inter = A.intersection(B, caps).order()
         method = "exhaustive"
-    elif isinstance(G, WreathTower):
-        inter = count_supported(G, alpha, beta, caps=caps)
-        method = "portrait-count"
     else:
-        raise ResourceLimitError("element enumeration", caps.element_cap,
-                                 small, "--element-cap")
+        inter = count_supported(T, alpha, beta, caps=caps)
+        method = "portrait-count"
     meet_holds = contained and inter == L.order()
 
     disjoint = alpha & beta == 0
     commutes = _commute_groupwise(A, B) if disjoint else None
 
-    comp = rist_of(algebra.complement(alpha))
+    comp = rist_of(SubsetAlgebra(T.leaf_count).complement(alpha))
     contains = _commute_groupwise(comp, A)
     equals = None
-    if group.order() <= caps.element_cap:
-        if centralizer_cache is not None and alpha in centralizer_cache:
-            cent = centralizer_cache[alpha]
-        else:
-            cent = group.centralizer(A, caps)
-            if centralizer_cache is not None:
-                centralizer_cache[alpha] = cent
-        equals = cent.equals(comp)
+    if T.group.order() <= caps.element_cap:
+        if alpha not in centralizer_cache:
+            centralizer_cache[alpha] = T.group.centralizer(A, caps)
+        equals = centralizer_cache[alpha].equals(comp)
     return PairCheck(
         subset_a=alpha, subset_b=beta,
         rist_a_order=A.order(), rist_b_order=B.order(),
@@ -281,7 +206,7 @@ def lattice_check_pair(G: PermGroup | WreathTower, alpha: int, beta: int,
     )
 
 
-def cone_union_pool(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[int]:
+def cone_union_pool(T: WreathTower) -> list[int]:
     """Deterministic pool of cone-union subsets, coarsest level first:
     per level all unions of that level's cones while they number at most
     2^12, single cones otherwise; empty and full lead the pool."""
@@ -317,25 +242,13 @@ def _level_vertices(d: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def lattice_checks(G: PermGroup | WreathTower, subsets: list[int],
-                   caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
-    """All unordered pair checks over an explicit subset list."""
-    rist_cache: dict[int, PermGroup] = {}
-    centralizer_cache: dict[int, PermGroup] = {}
-    return [lattice_check_pair(G, subsets[i], subsets[j], caps,
-                               rist_cache, centralizer_cache)
-            for i in range(len(subsets)) for j in range(i, len(subsets))]
-
-
-def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS,
-                  pool: list[int] | None = None) -> list[PairCheck]:
+def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
     """Pairwise checks over the cone-union pool, up to the pair cap.
 
     Pairs are taken along diagonals of the (coarse-first) pool so a cap
     still sees every granularity level, not just the first entries.
     """
-    if pool is None:
-        pool = cone_union_pool(T, caps)
+    pool = cone_union_pool(T)
     rist_cache: dict[int, PermGroup] = {}
     centralizer_cache: dict[int, PermGroup] = {}
     checks = []

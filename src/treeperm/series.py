@@ -226,8 +226,11 @@ def frattini_quotient_rank(G: PermGroup, p: int) -> int:
     """Rank r with |G / G^p[G,G]| = p^r (the quotient is elementary abelian)."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    K = _agemo_commutator_step(G, p)
-    index = G.order() // K.order()
+    return _log_p(G.order() // _agemo_commutator_step(G, p).order(), p)
+
+
+def _log_p(index: int, p: int) -> int:
+    """r with index == p^r, for the index of G^p[G,G] in G."""
     r = 0
     while index % p == 0:
         index //= p
@@ -277,8 +280,10 @@ def tate_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> TateReport:
     """
     S = sylow_subgroup(G, p, caps)
     rank_s = frattini_quotient_rank(S, p)
-    rank_g = frattini_quotient_rank(G, p)
-    residual = p_residual(G, p, caps)
+    # the series starts G > G^p[G,G], so its first index is the Frattini quotient
+    series = p_residual_series(G, p, caps)
+    rank_g = _log_p(G.order() // series[1].order(), p) if len(series) > 1 else 0
+    residual = series[-1]
     inter = S.intersection(residual, caps)
     cert = SeriesCertificate(
         kind="tate",

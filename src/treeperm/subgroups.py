@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bsgs import reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
 from .groups import PermGroup
@@ -127,13 +126,22 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
     table = _Table(G, caps)
     atoms = _prime_power_atoms(table)
 
-    trivial = frozenset([table.ident])
-    seen: set[frozenset[int]] = {trivial}
-    classes: dict[frozenset[int], tuple[frozenset[int], int]] = {}
-    # map canonical -> (rep set, class size)
-    classes[trivial] = (trivial, 1)
-    queue: list[tuple[frozenset[int], list[int]]] = [(trivial, [])]
+    out: list[SubgroupClass] = []
+    seen: set[frozenset[int]] = set()
+    queue: list[tuple[frozenset[int], list[int]]] = []
 
+    def add_class(canonical: frozenset[int], size: int) -> None:
+        # one chain per class: the sift-reduced rep keeps it, and its
+        # generators seed the next extensions
+        idxs = tuple(sorted(canonical))
+        rep = PermGroup.from_elements(G.degree, (table.elements[i].images for i in idxs))
+        out.append(SubgroupClass(rep=rep, order=len(canonical), class_size=size,
+                                 element_indices=idxs))
+        queue.append((canonical, [table.index[g.images] for g in rep.generators]))
+
+    trivial = frozenset([table.ident])
+    seen.add(trivial)
+    add_class(trivial, 1)
     while queue:
         current, gens = queue.pop(0)
         for a in atoms:
@@ -144,24 +152,7 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
                 continue
             orbit = _conjugacy_orbit(table, K)
             seen.update(orbit)
-            canonical = min(orbit, key=lambda fs: tuple(sorted(fs)))
-            classes[canonical] = (canonical, len(orbit))
-            queue.append((canonical, _regen(table, canonical)))
+            add_class(min(orbit, key=lambda fs: tuple(sorted(fs))), len(orbit))
 
-    out = []
-    for canonical, (_, size) in classes.items():
-        idxs = tuple(sorted(canonical))
-        gens_idx = _regen(table, canonical)
-        rep = PermGroup(G.degree, [table.elements[i] for i in gens_idx])
-        out.append(SubgroupClass(rep=rep, order=len(canonical), class_size=size,
-                                 element_indices=idxs))
     out.sort(key=lambda c: (c.order, c.element_indices))
     return out
-
-
-def _regen(table: _Table, fs: frozenset[int]) -> list[int]:
-    """Small generating set for a subgroup given as an index set."""
-    degree = table.elements[0].degree
-    kept, _ = reduce_generators(
-        degree, (table.elements[i].images for i in sorted(fs)))
-    return [table.index[t] for t in kept]

@@ -225,6 +225,21 @@ MALFORMED = {
     "color-not-integer": COLOR_FILE,
     "group-file-is-directory": ["wreath", "build", "--base", "file:{tmp}", "--depth", "2"],
     "group-file-not-utf8": ["wreath", "build", "--base", "file:{tmp}/input", "--depth", "2"],
+    "family-dih-too-small": ["tate", "verify", "--group", "Dih(2)", "--p", "2"],
+    "family-sym-zero": ["tate", "verify", "--group", "Sym(0)", "--p", "2"],
+    "family-cyc-zero": ["tate", "verify", "--group", "Cyc(0)", "--p", "2"],
+    "family-bad-argument": ["tate", "verify", "--group", "Sym(x)", "--p", "2"],
+    "unknown-group-spec": ["tate", "verify", "--group", "Foo(3)", "--p", "2"],
+}
+
+# exact stderr where the message itself is pinned: a named family's own
+# complaint passes through, an unknown spec keeps the generic line
+ERROR_TEXT = {
+    "family-dih-too-small": "error: Dih(n) needs n >= 3, got 2\n",
+    "family-sym-zero": "error: degree must be positive, got 0\n",
+    "family-cyc-zero": "error: Cyc(n) needs n >= 1, got 0\n",
+    "family-bad-argument": "error: bad family argument in 'Sym(x)'\n",
+    "unknown-group-spec": "error: not a recognized group spec: 'Foo(3)'\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}
@@ -249,3 +264,5 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     assert "Traceback" not in err
     if "vertex_images" in argv[-1]:
         assert "not an automorphism" in err
+    if case in ERROR_TEXT:
+        assert err == ERROR_TEXT[case]

@@ -35,6 +35,12 @@ GOLDEN = [
     ("lattice sweep --tower Sym(2):3", 0, "0e8443d43bec0903eb69eff07fcf0418e13b4bfe513bc34e5ff3c724d0a9263a"),
     ("lattice sweep --tower Klein4:2", 0, "889c1a3ce03bcff696695e274ceea2daa6ced5848bbf82044f97a9e5e1673869"),
     ("lattice sweep --tower Klein4:3 --max-pairs 14", 0, "169b9a2e598eed4146a31f9123eb857d6a13e2184872866c5c73eb795379fcda"),
+    ("lattice rist --tower Sym(4):2 --subset 1.1,1.2,1.3", 0, "3f9770b78371eedfdefc60997b6006e5007feecdbb5219cabec1c7556b0d2da5"),
+    ("lattice rist --tower Alt(4):2 --subset 1.1,1.2,1.3,2", 0, "7288e33dfca82588146c7726c0a449d631fa05722d6268708a15c5a713abd26a"),
+    ("lattice sweep --tower Sym(3):2", 0, "9e901fba60f86671469a29a9df828520a284a92c60ad4dc4b0703556f039f707"),
+    ("criteria survey --d 5", 0, "064c7dcd98bab9d3aeb444d1f6f3f06003064cd757340e0567d284ea42fbce18"),
+    ("tate verify --group Dih(6) --p 2", 0, "855b95379009344348de1120ff72010fed96cd6e86ff0ad52b48f5ee0e9e6ef2"),
+    ("tate verify --group Sym(4) --p 2", 0, "8135ec8a66c29e6f6a61f6a0a298b08c32107ca2533e4a66ca0e1dccaaf8eac9"),
 ]
 
 

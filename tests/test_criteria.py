@@ -52,31 +52,31 @@ def test_verdicts_are_pure_functions_of_facts():
 
 def test_oracle_facts_agree_on_survey_grid():
     for d in (3, 4, 5):
-        for row in survey(d, with_eta=False):
+        for row in survey(d):
             assert row.oracle_agrees, row.label
 
 
 def test_survey_d3():
-    rows = survey(3, transitive_only=True, with_eta=False)
+    rows = survey(3, transitive_only=True)
     assert [r.label for r in rows] == ["C3", "S3"]
     gen_by_stabs = [r.label for r in rows if r.report.facts["Fp_gen_by_stabs"]]
     assert gen_by_stabs == ["S3"]
 
 
 def test_survey_d4_transitive_labels():
-    rows = survey(4, transitive_only=True, with_eta=False)
+    rows = survey(4, transitive_only=True)
     assert {r.label for r in rows} == {"C4", "V", "D4", "A4", "S4"}
     assert [r.order for r in rows] == [4, 4, 8, 12, 24]
 
 
 def test_survey_d5_counts():
-    rows = survey(5, transitive_only=True, with_eta=False)
+    rows = survey(5, transitive_only=True)
     assert len(rows) == 5
     assert {r.label for r in rows} == {"C5", "D5", "F20", "A5", "S5"}
 
 
 def test_survey_d1_degenerate():
-    rows = survey(1, with_eta=False)
+    rows = survey(1)
     assert len(rows) == 1
     assert rows[0].report.facts["Fp_transitive"]
 

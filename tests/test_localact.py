@@ -266,13 +266,3 @@ def test_illegal_coloring_still_generates_a_group():
     assert B.order() == B.enumerated_count == B.formula_count
     for g in B.group.elements():
         assert in_Uc(illegal, g, symmetric(3))
-
-
-def test_lattice_checks_wrapper_on_explicit_subsets():
-    from treeperm.lattice import cone_bits, lattice_checks
-    from treeperm.wreath import wreath_tower
-    T = wreath_tower(symmetric(2), 2)
-    pool = [0, cone_bits(T, (0,)), cone_bits(T, (1,))]
-    checks = lattice_checks(T, pool)
-    assert len(checks) == 6
-    assert all(c.meet_identity_holds for c in checks)

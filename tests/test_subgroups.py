@@ -48,3 +48,19 @@ def test_cap_is_loud():
     with pytest.raises(ResourceLimitError) as info:
         enumerate_subgroups_up_to_conjugacy(symmetric(5), caps)
     assert "--subgroup-cap" in str(info.value)
+
+
+def test_one_chain_build_per_class(monkeypatch):
+    from treeperm import bsgs
+    builds = []
+    init = bsgs.StabilizerChain.__init__
+
+    def counting_init(self, degree):
+        builds.append(degree)
+        init(self, degree)
+
+    monkeypatch.setattr(bsgs.StabilizerChain, "__init__", counting_init)
+    classes = enumerate_subgroups_up_to_conjugacy(symmetric(5))
+    assert [c.rep.order() for c in classes] == [c.order for c in classes]
+    # one chain for the ambient group's order, one per class rep
+    assert len(builds) <= len(classes) + 1
