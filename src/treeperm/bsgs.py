@@ -15,12 +15,9 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from .perms import _compose
+
 Raw = tuple  # image tuple of a permutation
-
-
-def _mult(a: Raw, b: Raw) -> Raw:
-    """(a ∘ b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
 
 
 def _inv(a: Raw) -> Raw:
@@ -28,10 +25,6 @@ def _inv(a: Raw) -> Raw:
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
-
-
-def _is_ident(a: Raw) -> bool:
-    return all(i == j for i, j in enumerate(a))
 
 
 class _Level:
@@ -79,14 +72,14 @@ class StabilizerChain:
 
     def contains(self, g: Raw) -> bool:
         h, i = self._strip(g, 0)
-        return i == len(self.levels) and _is_ident(h)
+        return i == len(self.levels) and h == self.ident
 
     def random_element(self, rng: random.Random) -> Raw:
         """Uniformly random element via one transversal pick per level."""
         g = self.ident
         for lev in self.levels:
             u = lev.orbit[rng.randrange(len(lev.orbit))]
-            g = _mult(g, lev.transversal[u])
+            g = _compose(g, lev.transversal[u])
         return g
 
     # -- construction ----------------------------------------------------
@@ -96,7 +89,7 @@ class StabilizerChain:
         if len(g) != self.degree:
             raise ValueError(f"degree mismatch: {len(g)} vs {self.degree}")
         h, i = self._strip(g, 0)
-        if i == len(self.levels) and _is_ident(h):
+        if i == len(self.levels) and h == self.ident:
             return False
         self._register(h, found_at=i, from_level=0)
         self._complete(i)
@@ -110,7 +103,7 @@ class StabilizerChain:
             t_inv = lev.inv_transversal.get(u)
             if t_inv is None:
                 return h, i
-            h = _mult(t_inv, h)
+            h = _compose(t_inv, h)
         return h, len(self.levels)
 
     def _register(self, h: Raw, found_at: int, from_level: int) -> None:
@@ -145,7 +138,7 @@ class StabilizerChain:
             for g in gens[old_gens:]:
                 v = g[u]
                 if v not in tr:
-                    tv = _mult(g, tu)
+                    tv = _compose(g, tu)
                     tr[v] = tv
                     itr[v] = _inv(tv)
                     orbit.append(v)
@@ -157,7 +150,7 @@ class StabilizerChain:
             for g in gens:
                 v = g[u]
                 if v not in tr:
-                    tv = _mult(g, tu)
+                    tv = _compose(g, tu)
                     tr[v] = tv
                     itr[v] = _inv(tv)
                     orbit.append(v)
@@ -187,11 +180,11 @@ class StabilizerChain:
             u = lev.orbit[u_idx]
             g = lev.gens[g_idx]
             v = g[u]
-            schreier = _mult(lev.inv_transversal[v], _mult(g, lev.transversal[u]))
-            if _is_ident(schreier):
+            schreier = _compose(lev.inv_transversal[v], _compose(g, lev.transversal[u]))
+            if schreier == self.ident:
                 continue
             h, j = self._strip(schreier, i + 1)
-            if not (j == len(self.levels) and _is_ident(h)):
+            if not (j == len(self.levels) and h == self.ident):
                 self._register(h, found_at=j, from_level=i + 1)
                 return j
 

@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InputError
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """(a ∘ b)(x) = a(b(x)) on image tuples; itemgetter needs two or more indices."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
 
 
 class Permutation:
@@ -57,9 +63,8 @@ class Permutation:
         """Composition: (a * b)(x) = a(b(x))."""
         if self.degree != other.degree:
             raise InputError(f"degree mismatch: {self.degree} vs {other.degree}")
-        a = self.images
         p = Permutation.__new__(Permutation)
-        p.images = tuple(a[x] for x in other.images)
+        p.images = _compose(self.images, other.images)
         return p
 
     def inverse(self) -> "Permutation":
@@ -83,7 +88,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         return math.lcm(*map(len, self.cycles()))

@@ -1,9 +1,13 @@
 """Seeded stress: stabilizer chains against brute-force closure."""
 
+import math
 import random
 
+import pytest
+
+from treeperm.bsgs import StabilizerChain
 from treeperm.groups import PermGroup, closure_elements
-from treeperm.perms import Permutation
+from treeperm.perms import Permutation, _compose
 
 
 def random_group(rng, degree, n_gens):
@@ -48,3 +52,63 @@ def test_random_elements_are_uniformish():
     G = symmetric(3)
     seen = {G.random_element(rng).images for _ in range(200)}
     assert len(seen) == 6
+
+
+# Per-point reference definitions for the raw-tuple kernel.
+def ref_mul(a, b):
+    return tuple(a[x] for x in b)
+
+
+def ref_is_ident(a):
+    return all(i == j for i, j in enumerate(a))
+
+
+def ref_inv(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def ref_order(a):
+    order, seen = 1, set()
+    for i in range(len(a)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = a[j]
+            length += 1
+        order = math.lcm(order, max(length, 1))
+    return order
+
+
+def test_kernel_agrees_with_per_point_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = st.integers(1, 130).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)).map(tuple), st.permutations(range(n)).map(tuple),
+        st.integers(0, 40)))
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        a, b, k = case
+        ab = ref_mul(a, b)
+        assert _compose(a, b) == ab and type(_compose(a, b)) is tuple
+        assert (Permutation(a) * Permutation(b)).images == ab
+        for x in (a, b, ab, ref_mul(a, ref_inv(a))):
+            assert Permutation(x).is_identity() == ref_is_ident(x)
+        # <a> is abelian: its members commute with a, and a^k is a member
+        chain = StabilizerChain.from_generators(len(a), [a])
+        assert chain.order() == ref_order(a)
+        power = tuple(range(len(a)))
+        for _ in range(k):
+            power = ref_mul(a, power)
+        assert chain.contains(power)
+        assert chain.contains(ref_inv(a))
+        if chain.contains(b):
+            assert ref_mul(a, b) == ref_mul(b, a)
+        if ref_mul(a, b) != ref_mul(b, a):
+            assert not chain.contains(b)
+
+    check()

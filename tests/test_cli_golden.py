@@ -41,6 +41,10 @@ GOLDEN = [
     ("criteria survey --d 5", 0, "064c7dcd98bab9d3aeb444d1f6f3f06003064cd757340e0567d284ea42fbce18"),
     ("tate verify --group Dih(6) --p 2", 0, "855b95379009344348de1120ff72010fed96cd6e86ff0ad52b48f5ee0e9e6ef2"),
     ("tate verify --group Sym(4) --p 2", 0, "8135ec8a66c29e6f6a61f6a0a298b08c32107ca2533e4a66ca0e1dccaaf8eac9"),
+    # degree 1 and 2: the smallest groups the kernel sees
+    ("tate verify --group Cyc(1) --p 2", 0, "64ed61df62a6bb87f802bfa3e621a3d04e4dbf1e22a2736750e6bde5ce4627dc"),
+    ("series op --group Triv(1) --kind sylow --p 2", 0, "a124e673ed017be69924566ef911f3782b9cb4907725a0da30f003899818b2bc"),
+    ("wreath build --base Sym(2) --depth 1", 0, "a27db9b80e409961b6f904add3f94a46ea96ae7f691e40a5f39c23fd896d5a10"),
 ]
 
 

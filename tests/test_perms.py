@@ -3,7 +3,7 @@
 import pytest
 
 from treeperm.errors import InputError
-from treeperm.perms import (Permutation, commutator, compose, inverse,
+from treeperm.perms import (Permutation, _compose, commutator, compose, inverse,
                             parse_cycles)
 
 
@@ -77,3 +77,13 @@ def test_degree_mismatch_is_an_input_error():
 def test_not_a_permutation_rejected():
     with pytest.raises(InputError):
         Permutation([0, 0, 1])
+
+
+def test_compose_falls_back_below_degree_two():
+    # itemgetter returns a scalar for one index and raises for none
+    p = Permutation((0,)) * Permutation((0,))
+    assert p.images == (0,) and type(p.images) is tuple
+    assert p.is_identity()
+    assert _compose((), ()) == ()
+    assert type(_compose((0,), (0,))) is tuple
+    assert Permutation(()).is_identity()

@@ -129,3 +129,33 @@ def test_p_residual_series_descends():
     assert [N.order() for N in series] == [24, 12]
     series = p_residual_series(cyclic(12), 2)
     assert series[-1].order() == 3
+
+
+def count_normality_witnesses(monkeypatch):
+    from treeperm import cli, series
+    calls = []
+
+    def counted(G, N):
+        calls.append(N.order())
+        return verify_normal(G, N)
+
+    # the CLI would see the wrapper too if it imported the check by name
+    for module in (series, cli):
+        monkeypatch.setattr(module, "verify_normal", counted, raising=False)
+    return calls
+
+
+def test_tate_check_runs_the_normality_witness_once(monkeypatch):
+    calls = count_normality_witnesses(monkeypatch)
+    r = tate_check(symmetric(5), 2)
+    assert calls == [60]
+    assert r.certificate.normal_verified
+
+
+@pytest.mark.parametrize("kind, order", [("residual", 60), ("core", 1)])
+def test_series_op_runs_the_normality_witness_once(monkeypatch, capsys, kind, order):
+    from treeperm.cli import main
+    calls = count_normality_witnesses(monkeypatch)
+    assert main(["series", "op", "--group", "Sym(5)", "--kind", kind, "--p", "2"]) == 0
+    assert calls == [order]
+    assert '"normal_verified": true' in capsys.readouterr().out
