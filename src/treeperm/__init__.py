@@ -4,7 +4,7 @@ automorphism groups, and rigid-stabilizer Boolean lattices."""
 
 from .config import Caps, DEFAULT_CAPS, DEFAULT_SEED, TOOL_VERSION
 from .errors import InputError, ResourceLimitError
-from .perms import Permutation, commutator, compose, inverse, parse_cycles
+from .perms import Permutation, commutator, parse_cycles
 from .groups import (PermGroup, alternating, cyclic, dihedral, frobenius20,
                      klein4, named_group, parse_group_spec, symmetric, trivial)
 from .portraits import Portrait, flatten, identity_portrait, portrait_compose, portrait_inverse

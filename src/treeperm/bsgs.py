@@ -15,16 +15,9 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .perms import _compose
+from .perms import _compose, _invert
 
 Raw = tuple  # image tuple of a permutation
-
-
-def _inv(a: Raw) -> Raw:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 class _Level:
@@ -140,7 +133,7 @@ class StabilizerChain:
                 if v not in tr:
                     tv = _compose(g, tu)
                     tr[v] = tv
-                    itr[v] = _inv(tv)
+                    itr[v] = _invert(tv)
                     orbit.append(v)
         # all generators applied to unscanned points
         idx = old_points
@@ -152,7 +145,7 @@ class StabilizerChain:
                 if v not in tr:
                     tv = _compose(g, tu)
                     tr[v] = tv
-                    itr[v] = _inv(tv)
+                    itr[v] = _invert(tv)
                     orbit.append(v)
             idx += 1
         # queue Schreier pairs not seen before

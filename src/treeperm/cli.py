@@ -89,8 +89,7 @@ def cmd_criteria_check(args, caps) -> tuple[dict, int]:
     F = parse_group_spec(args.F)
     Fp = parse_group_spec(args.Fprime)
     report = evaluate(args.d, F, Fp, caps)
-    code = 0 if report.sandwich_ok else 2
-    return report.as_dict(), code
+    return asdict(report), 0 if report.sandwich_ok else 2
 
 
 def render_survey_table(doc: dict) -> str:
@@ -116,7 +115,7 @@ def render_survey_table(doc: dict) -> str:
 def cmd_criteria_survey(args, caps) -> tuple[dict, int]:
     rows = survey(args.d, transitive_only=args.transitive_only, caps=caps)
     doc = {"d": args.d, "transitive_only": args.transitive_only,
-           "rows": [r.as_dict() for r in rows]}
+           "rows": [asdict(r) for r in rows]}
     if args.format == "table":
         sys.stdout.write(render_survey_table(doc))
         return None, 0
@@ -171,26 +170,20 @@ def cmd_tree_ball(args, caps) -> tuple[dict, int]:
 def cmd_ball_group(args, caps) -> tuple[dict, int]:
     F = parse_group_spec(args.F)
     ball = legal_coloring(build_ball(args.d, args.radius, args.center, caps))
-    if args.center == "vertex":
-        B = ball_stabilizer_group(ball, F, caps)
-        result = {
-            "order": B.order(),
-            "enumerated": B.enumerated_count,
-            "formula_order": B.formula_count,
-            "match": B.order() == B.formula_count,
-        }
-    else:
-        B = edge_ball_group(ball, F, caps)
-        tp = B.type_preserving
-        result = {
-            "order": B.order(),
-            "enumerated": B.enumerated_count,
-            "formula_order": B.formula_count,
-            "match": B.order() == B.formula_count,
-            "type_preserving_order": tp.order(),
-            "type_preserving_index": B.order() // tp.order(),
-        }
-    result["generators"] = [g.cycle_string() for g in B.group.generators]
+    build = ball_stabilizer_group if args.center == "vertex" else edge_ball_group
+    B = build(ball, F, caps)
+    order = B.order()
+    result = {
+        "order": order,
+        "enumerated": B.enumerated_count,
+        "formula_order": B.formula_count,
+        "match": order == B.formula_count,
+        "generators": [g.cycle_string() for g in B.group.generators],
+    }
+    if B.type_preserving is not None:
+        tp_order = B.type_preserving.order()
+        result["type_preserving_order"] = tp_order
+        result["type_preserving_index"] = order // tp_order
     return result, 0
 
 
@@ -208,14 +201,12 @@ def cmd_ball_defects(args, caps) -> tuple[dict, int]:
     if not is_ball_automorphism(ball, g):
         raise InputError("element is not an automorphism of the ball: "
                          "it must fix the center and preserve adjacency")
-    report = defect_set(ball, g, F, Fp)
-    return report.as_dict(), 0
+    return asdict(defect_set(ball, g, F, Fp)), 0
 
 
 def cmd_tate_verify(args, caps) -> tuple[dict, int]:
     G = parse_group_spec(args.group)
-    report = tate_check(G, args.p, caps)
-    return report.as_dict(), 0
+    return asdict(tate_check(G, args.p, caps)), 0
 
 
 def cmd_series_op(args, caps) -> tuple[dict, int]:
@@ -226,7 +217,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
         S = sylow_subgroup(G, args.p, caps)
         cert = sylow_certificate(G, args.p, S)
         return {"kind": "sylow", "subgroup": _group_summary(S),
-                "certificate": cert.as_dict()}, 0
+                "certificate": asdict(cert)}, 0
     if args.kind == "core":
         if args.pi:
             primes = parse_prime_set(args.pi)
@@ -240,7 +231,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
                                  normal_verified=True,  # pi_core raised otherwise
                                  details={"pi": sorted(primes)})
         return {"kind": "core", "subgroup": _group_summary(O),
-                "certificate": cert.as_dict()}, 0
+                "certificate": asdict(cert)}, 0
     if args.kind == "residual":
         if args.p is None:
             raise InputError("--p is required for --kind residual")
@@ -253,7 +244,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
                                           "quotient_order": G.order() // O.order(),
                                           "series_orders": [N.order() for N in series]})
         return {"kind": "residual", "subgroup": _group_summary(O),
-                "certificate": cert.as_dict()}, 0
+                "certificate": asdict(cert)}, 0
     raise InputError(f"unknown series kind {args.kind!r}")
 
 

@@ -11,7 +11,7 @@ certifies only the finite hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
@@ -44,9 +44,7 @@ class Verdict:
 
 @dataclass
 class CriterionReport:
-    d: int
-    F_spec: str
-    Fp_spec: str
+    inputs: dict  # {"d": degree, "F": spec of F, "Fprime": spec of F'}
     facts: dict
     verdicts: list[Verdict]
     eta: list[int]
@@ -57,15 +55,6 @@ class CriterionReport:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "inputs": {"d": self.d, "F": self.F_spec, "Fprime": self.Fp_spec},
-            "facts": self.facts,
-            "sandwich_ok": self.sandwich_ok,
-            "verdicts": [asdict(v) for v in self.verdicts],
-            "eta": self.eta,
-        }
 
 
 def compute_facts(F: PermGroup, Fp: PermGroup) -> dict:
@@ -150,11 +139,10 @@ def evaluate(d: int, F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> 
     if F.degree != d or Fp.degree != d:
         raise InputError(f"local groups must have degree {d}")
     facts = compute_facts(F, Fp)
-    verdicts = verdicts_from_facts(facts)
-    eta = sorted(eta_estimate(F, 2, caps)) if d >= 3 else []
     return CriterionReport(
-        d=d, F_spec=F.name or "custom", Fp_spec=Fp.name or "custom",
-        facts=facts, verdicts=verdicts, eta=eta,
+        inputs={"d": d, "F": F.name or "custom", "Fprime": Fp.name or "custom"},
+        facts=facts, verdicts=verdicts_from_facts(facts),
+        eta=sorted(eta_estimate(F, 2, caps)) if d >= 3 else [],
         sandwich_ok=facts["F_le_Fp"] and facts["Fp_le_young_F"],
     )
 
@@ -200,13 +188,13 @@ _KNOWN_TRANSITIVE = {
 }
 
 
-def class_label(cls: SubgroupClass, d: int, idx: int) -> str:
+def class_label(cls: SubgroupClass, d: int, idx: int, caps: Caps = DEFAULT_CAPS) -> str:
     """Human name when recognizable, else a stable generic label."""
     G = cls.rep
     n = cls.order
     if n == 1:
         return "1"
-    cyclic = any(g.order() == n for g in G.elements())
+    cyclic = any(g.order() == n for g in G.elements(caps))
     if cls.is_transitive:
         if (d, n) in _KNOWN_TRANSITIVE and _KNOWN_TRANSITIVE[(d, n)]:
             return _KNOWN_TRANSITIVE[(d, n)]
@@ -228,16 +216,6 @@ class SurveyRow:
     report: CriterionReport
     oracle_agrees: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "class_size": self.class_size,
-            "generators": self.generators,
-            "report": self.report.as_dict(),
-            "oracle_agrees": self.oracle_agrees,
-        }
-
 
 def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> list[SurveyRow]:
     """One criteria row per conjugacy class of F' <= Sym(d), F = F'.
@@ -255,19 +233,16 @@ def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> 
         if transitive_only and not cls.is_transitive:
             continue
         F = cls.rep
-        facts = compute_facts(F, F)
-        report = CriterionReport(
-            d=d, F_spec=class_label(cls, d, idx), Fp_spec=class_label(cls, d, idx),
-            facts=facts, verdicts=verdicts_from_facts(facts),
-            eta=sorted(eta_estimate(F, 2, caps)) if d >= 3 else [],
-            sandwich_ok=True,
-        )
+        label = class_label(cls, d, idx, caps)
+        # F <= F <= Young(F) always holds, so every row's sandwich is ok
+        report = replace(evaluate(d, F, F, caps),
+                         inputs={"d": d, "F": label, "Fprime": label})
         rows.append(SurveyRow(
-            label=class_label(cls, d, idx),
+            label=label,
             order=cls.order,
             class_size=cls.class_size,
             generators=[g.cycle_string() for g in F.generators],
             report=report,
-            oracle_agrees=oracle_facts(F, F, caps) == facts,
+            oracle_agrees=oracle_facts(F, F, caps) == report.facts,
         ))
     return rows

@@ -415,15 +415,6 @@ def parse_group_file(text: str, name: str | None = None) -> PermGroup:
     return PermGroup(degree, gens, name=name)
 
 
-def render_group_file(G: PermGroup) -> str:
-    lines = [f"degree: {G.degree}"]
-    for g in G.generators:
-        lines.append(f"gen: {g.cycle_string()}")
-    if not G.generators:
-        lines.append("gen: ()")
-    return "\n".join(lines) + "\n"
-
-
 def parse_group_spec(text: str) -> PermGroup:
     """Named family, `file:<path>` group file, or inline group-file text."""
     if text.startswith("file:"):

@@ -12,7 +12,7 @@ and the BSGS order of the generated group certify each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -65,14 +65,10 @@ def in_Uc(ball: TreeBall, g: Permutation, F: PermGroup) -> bool:
 class DefectReport:
     defects: list[int]
     violations: list[int]
+    is_valid_element: bool = field(init=False)
 
-    @property
-    def is_valid_element(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {"defects": self.defects, "violations": self.violations,
-                "is_valid_element": self.is_valid_element}
+    def __post_init__(self) -> None:
+        self.is_valid_element = not self.violations
 
 
 def defect_set(ball: TreeBall, g: Permutation, F: PermGroup, Fp: PermGroup) -> DefectReport:

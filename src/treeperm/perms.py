@@ -19,6 +19,14 @@ def _compose(a: tuple, b: tuple) -> tuple:
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[x] for x in b)
 
 
+def _invert(a: tuple) -> tuple:
+    """Inverse of an image tuple."""
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
 class Permutation:
     """Bijection of {0,...,degree-1} stored as a tuple of images."""
 
@@ -68,11 +76,8 @@ class Permutation:
         return p
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
         p = Permutation.__new__(Permutation)
-        p.images = tuple(inv)
+        p.images = _invert(self.images)
         return p
 
     def __pow__(self, n: int) -> "Permutation":
@@ -92,12 +97,6 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*map(len, self.cycles()))
-
-    def fixed_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i == j]
-
-    def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-indexed, each starting at its least point."""
@@ -133,15 +132,6 @@ class Permutation:
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a ∘ b)(x) = a(b(x))."""
-    return a * b
-
-
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
 
 
 def commutator(g: Permutation, h: Permutation) -> Permutation:

@@ -8,7 +8,6 @@ so `flatten` is a fixed group embedding into Sym(d^n).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -102,12 +101,3 @@ def vertex_portrait(arity: int, depth: int, vertex: tuple[int, ...], perm: Permu
         else:
             children.append(identity_portrait(arity, depth - 1))
     return Portrait(arity, depth, Permutation.identity(arity), tuple(children))
-
-
-def random_portrait(arity: int, depth: int, panel_chain, rng: random.Random) -> Portrait:
-    """Portrait with independent uniform panels drawn from a stabilizer chain."""
-    if depth == 0:
-        return identity_portrait(arity, 0)
-    root = Permutation(panel_chain.random_element(rng))
-    children = tuple(random_portrait(arity, depth - 1, panel_chain, rng) for _ in range(arity))
-    return Portrait(arity, depth, root, children)

@@ -77,20 +77,10 @@ class SeriesCertificate:
     subgroup_order: int
     normal_verified: bool
     details: dict = field(default_factory=dict)
+    index: int = field(init=False)
 
-    @property
-    def index(self) -> int:
-        return self.group_order // self.subgroup_order
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "index": self.index,
-            "normal_verified": self.normal_verified,
-            "details": self.details,
-        }
+    def __post_init__(self) -> None:
+        self.index = self.group_order // self.subgroup_order
 
 
 def verify_normal(G: PermGroup, N: PermGroup) -> bool:
@@ -247,27 +237,13 @@ class TateReport:
     p: int
     group_order: int
     sylow_order: int
-    rank_sylow: int
-    rank_group: int
-    residual_order: int
+    frattini_rank_sylow: int
+    frattini_rank_group: int
+    p_residual_order: int
     intersection_order: int
     hypothesis_holds: bool
     conclusion_holds: bool
     certificate: SeriesCertificate
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "group_order": self.group_order,
-            "sylow_order": self.sylow_order,
-            "frattini_rank_sylow": self.rank_sylow,
-            "frattini_rank_group": self.rank_group,
-            "p_residual_order": self.residual_order,
-            "intersection_order": self.intersection_order,
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "certificate": self.certificate.as_dict(),
-        }
 
 
 def tate_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> TateReport:
@@ -297,9 +273,9 @@ def tate_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> TateReport:
         p=p,
         group_order=G.order(),
         sylow_order=S.order(),
-        rank_sylow=rank_s,
-        rank_group=rank_g,
-        residual_order=residual.order(),
+        frattini_rank_sylow=rank_s,
+        frattini_rank_group=rank_g,
+        p_residual_order=residual.order(),
         intersection_order=inter.order(),
         hypothesis_holds=rank_s == rank_g,
         conclusion_holds=inter.order() == 1,

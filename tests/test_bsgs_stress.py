@@ -7,7 +7,7 @@ import pytest
 
 from treeperm.bsgs import StabilizerChain
 from treeperm.groups import PermGroup, closure_elements
-from treeperm.perms import Permutation, _compose
+from treeperm.perms import Permutation, _compose, _invert
 
 
 def random_group(rng, degree, n_gens):
@@ -96,6 +96,10 @@ def test_kernel_agrees_with_per_point_reference():
         ab = ref_mul(a, b)
         assert _compose(a, b) == ab and type(_compose(a, b)) is tuple
         assert (Permutation(a) * Permutation(b)).images == ab
+        a_inv = ref_inv(a)
+        assert _invert(a) == a_inv and type(_invert(a)) is tuple
+        assert Permutation(a).inverse().images == a_inv
+        assert ref_is_ident(ref_mul(a, _invert(a)))
         for x in (a, b, ab, ref_mul(a, ref_inv(a))):
             assert Permutation(x).is_identity() == ref_is_ident(x)
         # <a> is abelian: its members commute with a, and a^k is a member

@@ -1,10 +1,14 @@
 """CLI surface: subcommands, JSON determinism, exit codes, cap refusals."""
 
+import dataclasses
 import json
 
 import pytest
 
 from treeperm.cli import main
+from treeperm.criteria import CriterionReport, SurveyRow, Verdict
+from treeperm.localact import DefectReport
+from treeperm.series import SeriesCertificate, TateReport
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +118,34 @@ def test_series_ops(capsys):
     code, out, _ = run_cli(capsys, "series", "op", "--group", "Sym(4)",
                            "--kind", "residual", "--p", "2")
     assert parse_json(out)["result"]["subgroup"]["order"] == 12
+
+
+def test_report_keys_are_dataclass_fields(capsys):
+    """Every report prints as dataclasses.asdict of the dataclass behind it."""
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    def result(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        return parse_json(out)["result"]
+
+    tate = result("tate", "verify", "--group", "Sym(4)", "--p", "2")
+    assert set(tate) == fields(TateReport)
+    assert set(tate["certificate"]) == fields(SeriesCertificate)
+    for kind in ("sylow", "core", "residual"):
+        doc = result("series", "op", "--group", "Sym(4)", "--kind", kind, "--p", "2")
+        assert set(doc["certificate"]) == fields(SeriesCertificate)
+    check = result("criteria", "check", "--d", "4", "--F", "Sym(4)", "--Fprime", "Alt(4)")
+    assert set(check) == fields(CriterionReport)
+    assert all(set(v) == fields(Verdict) for v in check["verdicts"])
+    for row in result("criteria", "survey", "--d", "3")["rows"]:
+        assert set(row) == fields(SurveyRow)
+        assert set(row["report"]) == fields(CriterionReport)
+    element = json.dumps({"vertex_images": [0, 1, 2, 3, 5, 4, 6, 7, 8, 9]})
+    defects = result("ball", "defects", "--d", "3", "--radius", "2", "--F", "Alt(3)",
+                     "--Fprime", "Sym(3)", "--element", element)
+    assert set(defects) == fields(DefectReport)
 
 
 def test_lattice_rist(capsys):

@@ -45,6 +45,17 @@ GOLDEN = [
     ("tate verify --group Cyc(1) --p 2", 0, "64ed61df62a6bb87f802bfa3e621a3d04e4dbf1e22a2736750e6bde5ce4627dc"),
     ("series op --group Triv(1) --kind sylow --p 2", 0, "a124e673ed017be69924566ef911f3782b9cb4907725a0da30f003899818b2bc"),
     ("wreath build --base Sym(2) --depth 1", 0, "a27db9b80e409961b6f904add3f94a46ea96ae7f691e40a5f39c23fd896d5a10"),
+    # every report kind that serializes through dataclasses.asdict
+    ('ball defects --d 3 --radius 2 --F Alt(3) --Fprime Sym(3) '
+     '--element {"vertex_images":[0,1,2,3,5,4,6,7,8,9]}', 0,
+     "7ab92d41667887abf4ca1b891d46cd0339c4eb73e0fe83a619cc2dca7665d0c1"),
+    ('ball defects --d 3 --radius 2 --F Cyc(3) --Fprime Alt(3) '
+     '--element {"vertex_images":[0,1,2,3,5,4,6,7,8,9]}', 0,
+     "8937664bc0b54890a5bba9a48da139be268192a532b6971cf7f62037bf8a26da"),
+    ("criteria check --d 4 --F Sym(4) --Fprime Alt(4)", 2, "51d9c881589dde24aa9d497550a2f7f3c1dbb59a89a253bbb22657db53607380"),
+    ("criteria survey --d 3", 0, "a6376ebc3fdf93de4d257b8965122ae924ea4dda8071485904f275f76dcbee5a"),
+    ("criteria survey --d 4 --format table", 0, "440419faea1b68fc93ef3dca033697020d6e0eed459cf23a494b8473e47bf827"),
+    ("series op --group Sym(5) --kind residual --p 3", 0, "bdaa0bd665c7237e5aec5bd59acf7047a846e2d6fa6bb84e357ee649d517a5d5"),
 ]
 
 

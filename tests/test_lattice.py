@@ -14,8 +14,9 @@ from treeperm.wreath import wreath_tower
 
 def support(g):
     bits = 0
-    for i in g.moved_points():
-        bits |= 1 << i
+    for i, j in enumerate(g.images):
+        if i != j:
+            bits |= 1 << i
     return bits
 
 

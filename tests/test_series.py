@@ -108,11 +108,11 @@ def test_tate_examples():
     assert r.hypothesis_holds and r.conclusion_holds
     r = tate_check(symmetric(4), 2)
     assert not r.hypothesis_holds and not r.conclusion_holds
-    assert (r.rank_sylow, r.rank_group) == (2, 1)
+    assert (r.frattini_rank_sylow, r.frattini_rank_group) == (2, 1)
     assert r.intersection_order == 4
     # p-groups: O^p trivial, hypothesis trivially true
     r = tate_check(dihedral(4), 2)
-    assert r.hypothesis_holds and r.conclusion_holds and r.residual_order == 1
+    assert r.hypothesis_holds and r.conclusion_holds and r.p_residual_order == 1
 
 
 def test_tate_sweep_small_symmetric_groups():
