@@ -188,13 +188,13 @@ _KNOWN_TRANSITIVE = {
 }
 
 
-def class_label(cls: SubgroupClass, d: int, idx: int, caps: Caps = DEFAULT_CAPS) -> str:
+def class_label(cls: SubgroupClass, d: int, idx: int) -> str:
     """Human name when recognizable, else a stable generic label."""
     G = cls.rep
     n = cls.order
     if n == 1:
         return "1"
-    cyclic = any(g.order() == n for g in G.elements(caps))
+    cyclic = any(g.order() == n for g in G.elements())
     if cls.is_transitive:
         if (d, n) in _KNOWN_TRANSITIVE and _KNOWN_TRANSITIVE[(d, n)]:
             return _KNOWN_TRANSITIVE[(d, n)]
@@ -233,7 +233,7 @@ def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> 
         if transitive_only and not cls.is_transitive:
             continue
         F = cls.rep
-        label = class_label(cls, d, idx, caps)
+        label = class_label(cls, d, idx)
         # F <= F <= Young(F) always holds, so every row's sandwich is ok
         report = replace(evaluate(d, F, F, caps),
                          inputs={"d": d, "F": label, "Fprime": label})
