@@ -91,3 +91,24 @@ def test_cap_refusal_text(capsys, command, stderr):
     assert main(command.split()) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", stderr)
+
+
+# lattice sweep at the element cap: Alt(9) and Sym(9) towers sweep their
+# first pairs, and rist's panel scan refuses a base larger than the cap
+ELEMENT_CAP = ("error: element enumeration cap exceeded: requested {}, cap {} "
+               "(raise with --element-cap)\n")
+LATTICE_CAP_EDGES = [
+    ("lattice sweep --tower Alt(9):1 --max-pairs 2", 0, ""),
+    ("lattice sweep --tower Sym(9):1 --max-pairs 2", 0, ""),
+    ("lattice sweep --tower Alt(9):1 --max-pairs 3", 1, ELEMENT_CAP.format(100001, 100000)),
+    ("lattice sweep --tower Sym(3):2 --element-cap 5", 1, ELEMENT_CAP.format(6, 5)),
+    ("lattice sweep --tower Klein4:3 --max-pairs 14 --element-cap 3", 1,
+     ELEMENT_CAP.format(4, 3)),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, stderr", LATTICE_CAP_EDGES,
+                         ids=[c for c, _, _ in LATTICE_CAP_EDGES])
+def test_lattice_sweep_element_cap(capsys, command, exit_code, stderr):
+    assert main(command.split()) == exit_code
+    assert capsys.readouterr().err == stderr

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from treeperm.groups import PermGroup, symmetric, klein4
 from treeperm.lattice import (SubsetAlgebra, cone_bits, cone_union_pool, count_supported,
                               lattice_check_pair, lattice_sweep, rist)
@@ -143,3 +145,30 @@ def test_cone_union_pool_is_deterministic():
     T = wreath_tower(klein4(), 2)
     assert cone_union_pool(T) == cone_union_pool(T)
     assert 0 in cone_union_pool(T)
+
+
+# -- exhaustive intersection oracle: the sweep's portrait count is checked ------
+
+SWEEP_TOWERS = [(symmetric(2), 1), (symmetric(2), 2), (symmetric(2), 3),
+                (klein4(), 1), (klein4(), 2), (klein4(), 3), (symmetric(3), 2),
+                (PermGroup(3, [parse_cycles("(1 2)", 3)]), 2)]
+
+
+@pytest.mark.parametrize("F, n", SWEEP_TOWERS,
+                         ids=[f"{F.name or 'gen:(1 2)'}:{n}" for F, n in SWEEP_TOWERS])
+def test_sweep_intersection_count_matches_exhaustive(F, n):
+    T = wreath_tower(F, n)
+    rists = {}
+
+    def rist_of(bits):
+        if bits not in rists:
+            rists[bits] = rist(T, bits)
+        return rists[bits]
+
+    scanned = 0
+    for c in lattice_sweep(T):
+        if min(c.rist_a_order, c.rist_b_order) <= 5000:
+            exhaustive = rist_of(c.subset_a).intersection(rist_of(c.subset_b))
+            assert exhaustive.order() == c.intersection_order, (hex(c.subset_a), hex(c.subset_b))
+            scanned += 1
+    assert scanned > 0
