@@ -354,12 +354,10 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED,
-            echo: bool = True) -> list[AcceptanceResult]:
+def run_all(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) -> list[AcceptanceResult]:
     results = []
     for fn in ALL_CRITERIA:
         res = fn(caps, seed)
         results.append(res)
-        if echo:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

@@ -25,7 +25,7 @@ from .lattice import SubsetAlgebra, cone_bits, lattice_sweep, rist
 from .localact import (ball_stabilizer_group, defect_set, edge_ball_group,
                        is_ball_automorphism)
 from .perms import Permutation
-from .series import (parse_prime_set, p_residual_series, pi_core, sylow_certificate,
+from .series import (parse_prime_set, p_part, p_residual_series, pi_core,
                      sylow_subgroup, tate_check, SeriesCertificate)
 from .treeball import (ball_to_json, build_ball, coloring_from_json, is_legal,
                        is_valid_coloring, legal_coloring)
@@ -214,38 +214,32 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
     if args.kind == "sylow":
         if args.p is None:
             raise InputError("--p is required for --kind sylow")
-        S = sylow_subgroup(G, args.p, caps)
-        cert = sylow_certificate(G, args.p, S)
-        return {"kind": "sylow", "subgroup": _group_summary(S),
-                "certificate": asdict(cert)}, 0
-    if args.kind == "core":
+        H = sylow_subgroup(G, args.p, caps)
+        kind, normal = "sylow_p", False
+        details = {"p": args.p, "p_part": p_part(G.order(), args.p),
+                   "index_coprime_to_p": (G.order() // H.order()) % args.p != 0}
+    elif args.kind == "core":
         if args.pi:
             primes = parse_prime_set(args.pi)
         elif args.p is not None:
             primes = frozenset({args.p})
         else:
             raise InputError("--pi or --p is required for --kind core")
-        O = pi_core(G, primes, caps)
-        cert = SeriesCertificate(kind="pi_core", group_order=G.order(),
-                                 subgroup_order=O.order(),
-                                 normal_verified=True,  # pi_core raised otherwise
-                                 details={"pi": sorted(primes)})
-        return {"kind": "core", "subgroup": _group_summary(O),
-                "certificate": asdict(cert)}, 0
-    if args.kind == "residual":
+        H = pi_core(G, primes, caps)
+        kind, normal = "pi_core", True  # pi_core raised otherwise
+        details = {"pi": sorted(primes)}
+    else:  # residual: argparse admits no other --kind
         if args.p is None:
             raise InputError("--p is required for --kind residual")
         series = p_residual_series(G, args.p, caps)
-        O = series[-1]
-        cert = SeriesCertificate(kind="p_residual", group_order=G.order(),
-                                 subgroup_order=O.order(),
-                                 normal_verified=True,  # p_residual_series raised otherwise
-                                 details={"p": args.p,
-                                          "quotient_order": G.order() // O.order(),
-                                          "series_orders": [N.order() for N in series]})
-        return {"kind": "residual", "subgroup": _group_summary(O),
-                "certificate": asdict(cert)}, 0
-    raise InputError(f"unknown series kind {args.kind!r}")
+        H = series[-1]
+        kind, normal = "p_residual", True  # p_residual_series raised otherwise
+        details = {"p": args.p, "quotient_order": G.order() // H.order(),
+                   "series_orders": [N.order() for N in series]}
+    cert = SeriesCertificate(kind=kind, group_order=G.order(), subgroup_order=H.order(),
+                             normal_verified=normal, details=details)
+    return {"kind": args.kind, "subgroup": _group_summary(H),
+            "certificate": asdict(cert)}, 0
 
 
 def _parse_tower(spec: str, caps: Caps) -> WreathTower:
@@ -305,7 +299,7 @@ def cmd_lattice_sweep(args, caps) -> tuple[dict, int]:
 
 
 def cmd_selftest(args, caps) -> tuple[dict, int]:
-    results = acceptance.run_all(caps, args.seed, echo=True)
+    results = acceptance.run_all(caps, args.seed)
     ok = all(r.ok and r.within_budget for r in results)
     return {
         "criteria": [{"name": r.name, "ok": r.ok, "within_budget": r.within_budget,

@@ -151,9 +151,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def acts_freely(self) -> bool:
         """True when every point stabilizer is trivial."""
         n = self.order()

@@ -6,9 +6,10 @@ subgroup acting trivially off alpha, computed structurally: at each
 vertex the allowed panel is the pointwise stabilizer in the base group
 of the children whose cones stick out of alpha, with full subtrees below
 swallowed children.  A memoized counting recursion over the same
-portrait decomposition provides an order oracle that never builds the
-group.  The exhaustive element scan that rist is checked against lives
-in the tests.
+portrait decomposition, `count_supported`, counts elements without
+building a group: it gives every pair check its |rist(alpha) ∩
+rist(beta)|.  The exhaustive rist and intersection oracles that both
+are checked against live in tests/test_lattice.py.
 """
 
 from __future__ import annotations
@@ -93,19 +94,17 @@ def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS) ->
 
     Independent of the rist construction: a memoized recursion over
     portrait shapes that multiplies panel choices and child counts.
+    Base elements are enumerated only when a vertex has a panel to count.
     """
     d, n = T.arity, T.depth
-    base_elems = T.base.elements(caps)
-    base_order = len(base_elems)
     memo: dict[tuple, int] = {}
 
     def full_below(k: int) -> int:
-        return tower_order(base_order, d, n - k)
+        return tower_order(T.base.order(), d, n - k)
 
     def rec(k: int, rel: tuple[int, ...]) -> int:
-        if all(r == 0 for r in rel):
-            return 1
-        if k == n:
+        # only the identity is supported in the empty set
+        if k == n or 0 in rel:
             return 1
         key = (k, rel)
         if key in memo:
@@ -116,7 +115,7 @@ def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS) ->
         movable = [i for i in range(d) if all(c == full for c in child_rel[i])]
         fixed_pts = [i for i in range(d) if i not in movable]
         total = 0
-        for sigma in base_elems:
+        for sigma in T.base.elements(caps):
             if any(sigma(j) != j for j in fixed_pts):
                 continue
             prod = 1
@@ -125,14 +124,10 @@ def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS) ->
                     prod *= full_below(k + 1)
                 else:
                     prod *= rec(k + 1, child_rel[i])
-                if prod == 0:
-                    break
             total += prod
         memo[key] = total
         return total
 
-    if n == 0:
-        return 1
     return rec(0, tuple(subsets))
 
 
@@ -176,13 +171,7 @@ def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
     B = rist_of(beta)
     L = rist_of(alpha & beta)
     contained = all(A.membership(g) and B.membership(g) for g in L.generators)
-    # |A ∩ B|: exhaustively when one side is small, else the counting oracle
-    if min(A.order(), B.order()) <= 5000:
-        inter = A.intersection(B, caps).order()
-        method = "exhaustive"
-    else:
-        inter = count_supported(T, alpha, beta, caps=caps)
-        method = "portrait-count"
+    inter = count_supported(T, alpha, beta, caps=caps)
     meet_holds = contained and inter == L.order()
 
     disjoint = alpha & beta == 0
@@ -199,7 +188,7 @@ def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
         subset_a=alpha, subset_b=beta,
         rist_a_order=A.order(), rist_b_order=B.order(),
         meet_rist_order=L.order(), intersection_order=inter,
-        intersection_method=method, meet_identity_holds=meet_holds,
+        intersection_method="portrait-count", meet_identity_holds=meet_holds,
         disjoint=disjoint, disjoint_commutes=commutes,
         complement_centralizer_contains=contains,
         complement_centralizer_equals=equals,

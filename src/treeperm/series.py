@@ -105,13 +105,13 @@ def sylow_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
         return PermGroup(G.degree, [], name=f"Sylow_{p}(trivial)")
     elements = G.elements(caps)
     p_elements = []
-    best = None
+    best, best_order = None, 1
     for x in elements:
         o = x.order()
         if o > 1 and p_part(o, p) == o:
             p_elements.append(x)
-            if best is None or o > best.order():
-                best = x
+            if o > best_order:
+                best, best_order = x, o
     S = PermGroup(G.degree, [best])
     while S.order() < target:
         grew = False
@@ -127,17 +127,6 @@ def sylow_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
     if S.order() != target or (G.order() // S.order()) % p == 0:
         raise AssertionError("Sylow characterization failed")
     return S
-
-
-def sylow_certificate(G: PermGroup, p: int, S: PermGroup) -> SeriesCertificate:
-    return SeriesCertificate(
-        kind="sylow_p",
-        group_order=G.order(),
-        subgroup_order=S.order(),
-        normal_verified=False,
-        details={"p": p, "p_part": p_part(G.order(), p),
-                 "index_coprime_to_p": (G.order() // S.order()) % p != 0},
-    )
 
 
 # -- pi-core O_pi ------------------------------------------------------------

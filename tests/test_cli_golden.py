@@ -32,12 +32,12 @@ GOLDEN = [
     ("series op --group Sym(4) --kind core --p 2", 0, "2883a1c54d0a6f780916d48b8c93d932d3e157b9b3df01c9292937bc998e63a8"),
     ("series op --group Dih(6) --kind core --pi 2,3", 0, "8fcb15b40b1fb37dbf3aea52bc465273791f120492e27a0b6bc58988f9b55b6e"),
     ("lattice rist --tower Klein4:2 --subset 1,2.1", 0, "703bb23f7fe364974ff2bb526600243ecc5805214d03edc139bf510a0bf42101"),
-    ("lattice sweep --tower Sym(2):3", 0, "0e8443d43bec0903eb69eff07fcf0418e13b4bfe513bc34e5ff3c724d0a9263a"),
-    ("lattice sweep --tower Klein4:2", 0, "889c1a3ce03bcff696695e274ceea2daa6ced5848bbf82044f97a9e5e1673869"),
-    ("lattice sweep --tower Klein4:3 --max-pairs 14", 0, "169b9a2e598eed4146a31f9123eb857d6a13e2184872866c5c73eb795379fcda"),
+    ("lattice sweep --tower Sym(2):3", 0, "a9788052aa0a6063cdf90f4e831d16a234b77b1e9cc79552ca99af86c60bddb2"),
+    ("lattice sweep --tower Klein4:2", 0, "2459c254e6e9f3e9009fbda279c47e1904b5bcc5aedb0d11f1d13c6aa7836566"),
+    ("lattice sweep --tower Klein4:3 --max-pairs 14", 0, "a0b4bb546e4cdce35b161a1e9f2b3d5f988bad91714c3429ef6d465bb0649289"),
     ("lattice rist --tower Sym(4):2 --subset 1.1,1.2,1.3", 0, "3f9770b78371eedfdefc60997b6006e5007feecdbb5219cabec1c7556b0d2da5"),
     ("lattice rist --tower Alt(4):2 --subset 1.1,1.2,1.3,2", 0, "7288e33dfca82588146c7726c0a449d631fa05722d6268708a15c5a713abd26a"),
-    ("lattice sweep --tower Sym(3):2", 0, "9e901fba60f86671469a29a9df828520a284a92c60ad4dc4b0703556f039f707"),
+    ("lattice sweep --tower Sym(3):2", 0, "7c7cffb82f0dc32d71df5d0de444b4201b03a46e85e37644fc5451251e8d48f8"),
     ("criteria survey --d 5", 0, "064c7dcd98bab9d3aeb444d1f6f3f06003064cd757340e0567d284ea42fbce18"),
     ("tate verify --group Dih(6) --p 2", 0, "855b95379009344348de1120ff72010fed96cd6e86ff0ad52b48f5ee0e9e6ef2"),
     ("tate verify --group Sym(4) --p 2", 0, "8135ec8a66c29e6f6a61f6a0a298b08c32107ca2533e4a66ca0e1dccaaf8eac9"),
@@ -104,6 +104,12 @@ LATTICE_CAP_EDGES = [
     ("lattice sweep --tower Sym(3):2 --element-cap 5", 1, ELEMENT_CAP.format(6, 5)),
     ("lattice sweep --tower Klein4:3 --max-pairs 14 --element-cap 3", 1,
      ELEMENT_CAP.format(4, 3)),
+    # intersections are counted, not enumerated: only the base and the
+    # rist panels meet the cap
+    ("lattice sweep --tower Sym(3):2 --element-cap 10", 0, ""),
+    ("lattice sweep --tower Klein4:2 --element-cap 20", 0, ""),
+    ("lattice sweep --tower Sym(2):3 --element-cap 8", 0, ""),
+    ("lattice sweep --tower Klein4:3 --max-pairs 14 --element-cap 100", 0, ""),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from treeperm.errors import InputError
 from treeperm.groups import PermGroup, alternating, cyclic, dihedral, symmetric, trivial
-from treeperm.perms import parse_cycles
+from treeperm.perms import Permutation, parse_cycles
 from treeperm.series import (frattini_quotient_rank, is_prime, p_part, p_residual,
                              p_residual_oracle, pi_core, prime_factors,
                              sylow_subgroup, tate_check, verify_normal)
@@ -24,6 +24,19 @@ def test_sylow_examples():
     assert sylow_subgroup(trivial(1), 5).order() == 1
     assert sylow_subgroup(cyclic(6), 3).order() == 3
     assert sylow_subgroup(cyclic(3), 2).order() == 1  # p does not divide |G|
+
+
+def test_sylow_orders_each_element_once(monkeypatch):
+    calls = []
+    order = Permutation.order
+
+    def spy(self):
+        calls.append(self)
+        return order(self)
+
+    monkeypatch.setattr(Permutation, "order", spy)
+    assert sylow_subgroup(symmetric(6), 2).order() == 16
+    assert len(calls) == 720
 
 
 def test_sylow_rejects_non_prime():
