@@ -56,6 +56,15 @@ GOLDEN = [
     ("criteria survey --d 3", 0, "a6376ebc3fdf93de4d257b8965122ae924ea4dda8071485904f275f76dcbee5a"),
     ("criteria survey --d 4 --format table", 0, "440419faea1b68fc93ef3dca033697020d6e0eed459cf23a494b8473e47bf827"),
     ("series op --group Sym(5) --kind residual --p 3", 0, "bdaa0bd665c7237e5aec5bd59acf7047a846e2d6fa6bb84e357ee649d517a5d5"),
+    # tower chains: a 125-leaf tower, a 256-leaf tower, a square, a Sylow pair
+    ("wreath build --base Dih(5) --depth 3", 0, "6e94cffc010ee8f03d7c8ab348bd481c2ab11b523cb5f0e777994c799d7b51ff"),
+    ("wreath build --base Klein4 --depth 4", 0, "87fd6c8d17a700c6cd99784d43d958194d3341f3d56b76fd5047f01a7fa2f990"),
+    ("wreath build --base Sym(2) --depth 5 --square", 0, "730ab2dc78621d51347f7943fcd814f8e64bfb30a9a371e55a33204918e8d3bb"),
+    ("wreath build --base Dih(4) --depth 3 --sylow 2", 0, "c3fbe01d8d27369a1a395646a982fb4f1811417ecbd517a5adcf12d66517b54b"),
+    # tower edge shapes: arity 1, a trivial base, depth 0
+    ("wreath build --base Sym(1) --depth 3", 0, "8789c15ab01c8dc95612bc0743e0e621f275a00b1783edc8f80a134501bcc95a"),
+    ("wreath build --base Triv(3) --depth 2", 0, "40d2b988ed9eaf461adc65e3c6ac6f042652768a1cf40f0300fd84f5f595ed7d"),
+    ("wreath build --base Sym(3) --depth 0 --square", 0, "a5cae8e774ed0e6fa2c4d06608502822d71c4d775d427da51692b920c3bd2725"),
 ]
 
 
