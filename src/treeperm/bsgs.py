@@ -52,6 +52,35 @@ class StabilizerChain:
             chain.add_generator(g)
         return chain
 
+    @classmethod
+    def up_to_order(cls, degree: int, gens: Iterable[Raw], order: int) -> "StabilizerChain":
+        """Chain of the group generated by `gens`, given `order` >= its order.
+
+        Sifts each generator and grows the orbit of every level its
+        residue joins, without queuing Schreier generators.  The orbits
+        of such a partial chain multiply to at most the group order
+        (Seress, ch. 4), so once their product reaches the proved upper
+        bound `order` the chain is complete.  Otherwise the chain is
+        rebuilt by full Schreier-Sims.
+        """
+        gens = list(gens)
+        chain = cls(degree)
+        for g in gens:
+            if chain.order() == order:
+                break
+            if len(g) != degree:
+                raise ValueError(f"degree mismatch: {len(g)} vs {degree}")
+            h, i = chain._strip(g, 0)
+            if i == len(chain.levels) and h == chain.ident:
+                continue
+            chain._register(h, found_at=i, from_level=0)
+            for lev in chain.levels[:i + 1]:
+                # lev.orbit is closed under every generator but the new last one
+                chain._grow_orbit(lev, len(lev.orbit), len(lev.gens) - 1)
+        if chain.order() == order:
+            return chain
+        return cls.from_generators(degree, gens)
+
     # -- queries ---------------------------------------------------------
 
     def order(self) -> int:
@@ -118,12 +147,29 @@ class StabilizerChain:
         lev = self.levels[i]
         gens = lev.gens
         orbit = lev.orbit
-        tr = lev.transversal
-        itr = lev.inv_transversal
         old_points = lev.points_scanned
         old_gens = lev.gens_scanned
         if old_points == len(orbit) and old_gens == len(gens):
             return
+        self._grow_orbit(lev, old_points, old_gens)
+        # queue Schreier pairs not seen before
+        for u_idx in range(old_points):
+            for g_idx in range(old_gens, len(gens)):
+                lev.pending.append((u_idx, g_idx))
+        for u_idx in range(old_points, len(orbit)):
+            for g_idx in range(len(gens)):
+                lev.pending.append((u_idx, g_idx))
+        lev.points_scanned = len(orbit)
+        lev.gens_scanned = len(gens)
+
+    @staticmethod
+    def _grow_orbit(lev: _Level, old_points: int, old_gens: int) -> None:
+        """Close the orbit under the level's generators, given that its
+        first `old_points` points were scanned with its first `old_gens`."""
+        gens = lev.gens
+        orbit = lev.orbit
+        tr = lev.transversal
+        itr = lev.inv_transversal
         # new generators applied to already-scanned points
         for idx in range(old_points):
             u = orbit[idx]
@@ -148,15 +194,6 @@ class StabilizerChain:
                     itr[v] = _invert(tv)
                     orbit.append(v)
             idx += 1
-        # queue Schreier pairs not seen before
-        for u_idx in range(old_points):
-            for g_idx in range(old_gens, len(gens)):
-                lev.pending.append((u_idx, g_idx))
-        for u_idx in range(old_points, len(orbit)):
-            for g_idx in range(len(gens)):
-                lev.pending.append((u_idx, g_idx))
-        lev.points_scanned = len(orbit)
-        lev.gens_scanned = len(gens)
 
     def _process_level(self, i: int) -> int | None:
         """Sift queued Schreier generators of level i.

@@ -9,7 +9,7 @@ criteria.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bsgs import StabilizerChain, reduce_generators
 from .config import DEFAULT_CAPS, Caps
@@ -41,6 +41,9 @@ class PermGroup:
         self.name = name
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
+        # set by a construction that can prove an upper bound on the order:
+        # maps the raw generators to the bound, raising if the proof fails
+        self._order_bound: Callable[[list[tuple]], int] | None = None
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[tuple]) -> "PermGroup":
@@ -58,8 +61,12 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain.from_generators(
-                self.degree, [g.images for g in self.generators])
+            gens = [g.images for g in self.generators]
+            if self._order_bound is None:
+                self._chain = StabilizerChain.from_generators(self.degree, gens)
+            else:
+                self._chain = StabilizerChain.up_to_order(
+                    self.degree, gens, self._order_bound(gens))
         return self._chain
 
     def order(self) -> int:

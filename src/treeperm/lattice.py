@@ -20,8 +20,7 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .groups import PermGroup
 from .perms import Permutation
-from .portraits import vertex_portrait, flatten
-from .wreath import WreathTower, rigid_stabilizer, tower_order
+from .wreath import WreathTower, rigid_stabilizer, tower_order, vertex_generator
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,14 @@ def rist(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     ground = T.leaf_count
     if bits >> ground:
         raise InputError("subset has bits beyond the leaf set")
-    gens: list[Permutation] = []
+    gens: list[tuple] = []
 
     def rec(vertex: tuple[int, ...]) -> None:
         k = len(vertex)
         cone = cone_bits(T, vertex)
         sub = bits & cone
         if sub == cone:
-            gens.extend(rigid_stabilizer(T, vertex).generators)
+            gens.extend(g.images for g in rigid_stabilizer(T, vertex).generators)
             return
         if sub == 0 or k == n:
             return
@@ -78,13 +77,13 @@ def rist(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         covered = [i for i in range(d) if bits & cone_bits(T, kids[i]) == cone_bits(T, kids[i])]
         outside = [i for i in range(d) if i not in covered]
         for sigma in _panel_stabilizer_gens(T.base, outside, caps):
-            gens.append(flatten(vertex_portrait(d, n, vertex, sigma)))
+            gens.append(vertex_generator(d, n, vertex, sigma.images))
         for kid in kids:
             rec(kid)
 
     if n > 0:
         rec(())
-    return PermGroup.from_elements(max(ground, 1), (g.images for g in gens))
+    return PermGroup.from_elements(max(ground, 1), gens)
 
 
 # -- support-counting oracle ---------------------------------------------------

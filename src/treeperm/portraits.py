@@ -80,24 +80,3 @@ def _flatten_images(p: Portrait) -> list[int]:
         images.extend(offset + x for x in _flatten_images(p.children[i]))
     return images
 
-
-def vertex_portrait(arity: int, depth: int, vertex: tuple[int, ...], perm: Permutation) -> Portrait:
-    """Portrait acting by `perm` at the given vertex and trivially elsewhere.
-
-    The vertex is a root path (empty tuple = root) and must lie at
-    depth < `depth` so the action permutes actual subtrees.
-    """
-    if len(vertex) >= depth:
-        raise InputError(f"vertex depth {len(vertex)} needs depth < {depth}")
-    if not all(0 <= i < arity for i in vertex):
-        raise InputError(f"vertex {vertex} out of range for arity {arity}")
-    if not vertex:
-        child = identity_portrait(arity, depth - 1)
-        return Portrait(arity, depth, perm, (child,) * arity)
-    children = []
-    for i in range(arity):
-        if i == vertex[0]:
-            children.append(vertex_portrait(arity, depth - 1, vertex[1:], perm))
-        else:
-            children.append(identity_portrait(arity, depth - 1))
-    return Portrait(arity, depth, Permutation.identity(arity), tuple(children))

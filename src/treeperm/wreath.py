@@ -4,17 +4,26 @@ W_n(F) is the n-fold wreath iteration of a base group F <= Sym(d),
 acting on the d^n leaves of the depth-n rooted tree.  Orders obey
 |W_n(F)| = |F|^((d^n - 1)/(d - 1)) and the Sylow tower of the base
 group lifts to the Sylow subgroup of the whole tower.
+
+A tower is generated by one copy of each base generator at every vertex
+above the leaves, built directly as a leaf image tuple.  Its order is
+proved, not assumed, when its chain is first used.  Upper bound: every
+generator's local actions are read off its leaf permutation, which must
+be a tree automorphism with all local actions in F, so the group lies in
+W_n(F).  Lower bound: the orbits of the chain that sifting the
+generators builds multiply to at most the group order.  When they reach
+the formula the chain is complete; otherwise full Schreier-Sims decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
 from .perms import Permutation
-from .portraits import flatten, vertex_portrait
 from .series import p_part, sylow_subgroup
 
 
@@ -71,13 +80,56 @@ class WreathTower:
         return range(start, start + block)
 
 
+def vertex_generator(d: int, n: int, vertex: tuple[int, ...], f: tuple) -> tuple:
+    """Leaf image tuple of the image tuple `f` acting at `vertex` of the
+    depth-n tree: block i of the vertex's cone moves to block f(i)."""
+    block = d ** (n - len(vertex) - 1)
+    start = 0
+    for i in vertex:
+        start = start * d + i
+    start *= d * block
+    images = list(range(d ** n))
+    for i in range(d):
+        target = start + f[i] * block
+        images[start + i * block:start + (i + 1) * block] = range(target, target + block)
+    return tuple(images)
+
+
+def _tower_order_bound(F: PermGroup, n: int, gens: list[tuple]) -> int:
+    """|W_n(F)|, once every generator is shown to lie in W_n(F).
+
+    Reads the local actions off each leaf permutation from the leaves
+    up: at each level every sibling block must map into one sibling
+    block, and the induced map on the parents is the next level's
+    permutation.  Each distinct local action must lie in F.
+    """
+    d = F.degree
+    actions: set[tuple] = set()
+    for g in gens:
+        perm = g  # acts on the vertices at depth k, k = n down to 1
+        for _ in range(n):
+            parent = [x // d for x in perm]
+            child = [x % d for x in perm]
+            heads = parent[::d]
+            if any(parent[i::d] != heads for i in range(1, d)):
+                raise AssertionError("wreath generator is not a tree automorphism")
+            actions.update(zip(*(child[i::d] for i in range(d))))
+            perm = heads
+    for sigma in actions:
+        if not F.chain.contains(sigma):
+            raise AssertionError(f"wreath generator has local action "
+                                 f"{Permutation(sigma).cycle_string()} outside {F.name}")
+    return tower_order(F.order(), d, n)
+
+
 def wreath_tower(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS,
                  verify_order: bool = True) -> WreathTower:
     """Build W_depth(F) on d^depth leaves.
 
     Generators: one copy of each base generator at every vertex above
-    the leaves.  With `verify_order` the BSGS order is checked against
-    the tower order law.
+    the leaves.  The group's chain is built on first use, from the
+    generators with the order law as a proved bound.  With
+    `verify_order` the BSGS order is checked against the tower order law.
     """
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
@@ -89,10 +141,11 @@ def wreath_tower(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS,
     sites = []
     for v in _interior_vertices(d, depth):
         for gi, f in enumerate(F.generators):
-            gens.append(flatten(vertex_portrait(d, depth, v, f)))
+            gens.append(Permutation(vertex_generator(d, depth, v, f.images)))
             sites.append((v, gi))
     group = PermGroup(max(leaves, 1), gens,
                       name=f"W_{depth}({F.name or f'deg{d}'})")
+    group._order_bound = partial(_tower_order_bound, F, depth)
     tower = WreathTower(base=F, depth=depth, group=group, generator_sites=sites)
     if verify_order and group.order() != tower.expected_order():
         raise AssertionError(
@@ -119,8 +172,22 @@ def sylow_tower(F: PermGroup, p: int, depth: int, caps: Caps = DEFAULT_CAPS
     return tower, ambient
 
 
+def _square_order_bound(G: PermGroup, gens: list[tuple]) -> int:
+    """|G|^2, once every generator is shown to lie in G x G: it keeps
+    the two halves and each half's restriction is a member of G."""
+    m = G.degree
+    for g in gens:
+        if any(x >= m for x in g[:m]):
+            raise AssertionError("square generator mixes the two halves")
+        if not (G.chain.contains(g[:m]) and G.chain.contains(tuple(x - m for x in g[m:]))):
+            raise AssertionError(f"square generator has a half outside {G.name}")
+    return G.order() ** 2
+
+
 def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Direct product of two disjoint copies of the tower's leaf group."""
+    """Direct product of two disjoint copies of the tower's leaf group.
+
+    Its chain is built on first use with |T|^2 as a proved bound."""
     m = T.leaf_count
     if 2 * m > caps.leaf_cap:
         raise ResourceLimitError("flatten leaves", caps.leaf_cap, 2 * m, "--leaf-cap")
@@ -128,7 +195,9 @@ def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     for g in T.group.generators:
         gens.append(Permutation(tuple(g.images) + tuple(range(m, 2 * m))))
         gens.append(Permutation(tuple(range(m)) + tuple(x + m for x in g.images)))
-    return PermGroup(2 * m, gens, name=f"{T.group.name}^2")
+    square = PermGroup(2 * m, gens, name=f"{T.group.name}^2")
+    square._order_bound = partial(_square_order_bound, T.group)
+    return square
 
 
 def rigid_stabilizer(T: WreathTower, vertex: tuple[int, ...]) -> PermGroup:

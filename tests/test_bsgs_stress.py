@@ -7,7 +7,7 @@ import pytest
 
 from treeperm.bsgs import StabilizerChain
 from treeperm.groups import PermGroup, closure_elements
-from treeperm.perms import Permutation, _compose, _invert
+from treeperm.perms import Permutation, _compose, _invert, parse_cycles
 
 
 def random_group(rng, degree, n_gens):
@@ -116,3 +116,40 @@ def test_kernel_agrees_with_per_point_reference():
             assert not chain.contains(b)
 
     check()
+
+
+def test_up_to_order_agrees_with_schreier_sims():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    perms = lambda n: st.permutations(range(n)).map(tuple)
+    cases = st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(perms(n), max_size=4), st.lists(perms(n), max_size=6),
+        st.integers(0, 2 ** 16)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        n, gens, probes, seed = case
+        full = StabilizerChain.from_generators(n, gens)
+        known = StabilizerChain.up_to_order(n, gens, full.order())
+        assert known.order() == full.order()
+        rng = random.Random(seed)
+        members = [full.random_element(rng) for _ in range(4)]
+        for p in gens + probes + members:
+            assert known.contains(p) == full.contains(p)
+        assert all(known.contains(x) for x in members)
+        assert full.contains(known.random_element(rng))
+
+    check()
+
+
+def test_up_to_order_falls_back_when_sifting_falls_short(monkeypatch):
+    # sifting (1 2) and (1 2 3 4 5 6) gives orbits of 6 and 5, product 30
+    gens = [parse_cycles(c, 6).images for c in ("(1 2)", "(1 2 3 4 5 6)")]
+    rebuilt = []
+    real = StabilizerChain.from_generators.__func__
+    monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(
+        lambda cls, degree, gs: rebuilt.append(degree) or real(cls, degree, gs)))
+    chain = StabilizerChain.up_to_order(6, gens, 720)
+    assert chain.order() == 720 and rebuilt == [6]
+    assert chain.contains(parse_cycles("(1 3)(2 5 6)", 6).images)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from treeperm import cli, wreath
 from treeperm.groups import PermGroup, symmetric, klein4
 from treeperm.lattice import (SubsetAlgebra, cone_bits, cone_union_pool, count_supported,
                               lattice_check_pair, lattice_sweep, rist)
@@ -172,3 +173,18 @@ def test_sweep_intersection_count_matches_exhaustive(F, n):
             assert exhaustive.order() == c.intersection_order, (hex(c.subset_a), hex(c.subset_b))
             scanned += 1
     assert scanned > 0
+
+
+def test_lattice_rist_leaves_the_tower_chain_unbuilt(monkeypatch, capsys):
+    # rist reads only the tower's generators: neither its chain nor the
+    # local-action check behind the chain's known order may run
+    towers, bound_checks = [], []
+    parse_tower, bound = cli._parse_tower, wreath._tower_order_bound
+    monkeypatch.setattr(cli, "_parse_tower",
+                        lambda spec, caps: towers.append(parse_tower(spec, caps)) or towers[-1])
+    monkeypatch.setattr(wreath, "_tower_order_bound",
+                        lambda *args: bound_checks.append(args) or bound(*args))
+    assert cli.main("lattice rist --tower Klein4:3 --subset 1.4,3.4,4.1".split()) == 0
+    [T] = towers
+    assert T.group._chain is None and bound_checks == []
+    assert T.group.order() == 4 ** 21 and len(bound_checks) == 1

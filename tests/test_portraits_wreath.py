@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+from treeperm import wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
-from treeperm.groups import alternating, klein4, symmetric
+from treeperm.groups import alternating, cyclic, dihedral, klein4, symmetric
 from treeperm.perms import Permutation, parse_cycles
 from treeperm.portraits import (Portrait, flatten, identity_portrait,
-                                portrait_compose, portrait_inverse, vertex_portrait)
+                                portrait_compose, portrait_inverse)
 from treeperm.wreath import (direct_square, rigid_stabilizer, sylow_tower,
-                             tower_order, wreath_tower)
+                             tower_order, vertex_generator, wreath_tower)
 
 
 def random_portrait(arity, depth, panel_chain, rng):
@@ -21,6 +22,28 @@ def random_portrait(arity, depth, panel_chain, rng):
     root = Permutation(panel_chain.random_element(rng))
     children = tuple(random_portrait(arity, depth - 1, panel_chain, rng) for _ in range(arity))
     return Portrait(arity, depth, root, children)
+
+
+def vertex_portrait(arity: int, depth: int, vertex: tuple[int, ...], perm: Permutation) -> Portrait:
+    """Portrait acting by `perm` at the given vertex and trivially elsewhere.
+
+    The vertex is a root path (empty tuple = root) and must lie at
+    depth < `depth` so the action permutes actual subtrees.
+    """
+    if len(vertex) >= depth:
+        raise InputError(f"vertex depth {len(vertex)} needs depth < {depth}")
+    if not all(0 <= i < arity for i in vertex):
+        raise InputError(f"vertex {vertex} out of range for arity {arity}")
+    if not vertex:
+        child = identity_portrait(arity, depth - 1)
+        return Portrait(arity, depth, perm, (child,) * arity)
+    children = []
+    for i in range(arity):
+        if i == vertex[0]:
+            children.append(vertex_portrait(arity, depth - 1, vertex[1:], perm))
+        else:
+            children.append(identity_portrait(arity, depth - 1))
+    return Portrait(arity, depth, Permutation.identity(arity), tuple(children))
 
 
 def test_identity_portrait_flattens_to_identity():
@@ -132,3 +155,56 @@ def test_vertex_portrait_supports_only_its_cone():
     g = flatten(vertex_portrait(2, 3, (1,), parse_cycles("(1 2)", 2)))
     moved = {i for i, j in enumerate(g.images) if i != j}
     assert moved and moved <= set(range(4, 8))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_vertex_generator_is_the_flattened_vertex_portrait(d):
+    bases = [symmetric(d), alternating(d), cyclic(d)]
+    bases += [dihedral(d)] if d >= 3 else []
+    bases += [klein4()] if d == 4 else []
+    panels = {g for F in bases for g in F.generators} | {Permutation.identity(d)}
+    for n in (1, 2, 3):
+        for vertex in wreath._interior_vertices(d, n):
+            for f in panels:
+                assert (vertex_generator(d, n, vertex, f.images)
+                        == flatten(vertex_portrait(d, n, vertex, f)).images)
+
+
+# Proof obligations behind a tower's known order: every generator is a
+# tree automorphism whose local actions lie in F.  Each case swaps the
+# root generators for a bad one and checks that the order is refused.
+
+def _root_generator_is(monkeypatch, bad):
+    real = wreath.vertex_generator
+    monkeypatch.setattr(wreath, "vertex_generator",
+                        lambda d, n, vertex, f: bad if vertex == () else real(d, n, vertex, f))
+
+
+def test_tower_generator_must_be_a_tree_automorphism(monkeypatch):
+    # (2 3) on the leaves of the depth-2 binary tree splits both cones
+    _root_generator_is(monkeypatch, (0, 2, 1, 3))
+    T = wreath_tower(symmetric(2), 2, verify_order=False)
+    with pytest.raises(AssertionError, match="not a tree automorphism"):
+        T.group.order()
+    with pytest.raises(AssertionError, match="not a tree automorphism"):
+        wreath_tower(symmetric(2), 2)
+
+
+def test_tower_generator_local_actions_must_lie_in_the_base(monkeypatch):
+    # a 4-cycle for both root generators: the group is a tree group of
+    # order 4^5, the order law holds, yet it is not W_2(Klein4)
+    _root_generator_is(monkeypatch, vertex_generator(4, 2, (), (1, 2, 3, 0)))
+    with pytest.raises(AssertionError, match=r"local action \(1 2 3 4\) outside Klein4"):
+        wreath_tower(klein4(), 2, verify_order=False).group.order()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, 0, 2, 3, 4, 5), "half outside W_1"),         # odd on the left half
+    ((0, 1, 2, 4, 3, 5), "half outside W_1"),         # odd on the right half
+    ((3, 1, 2, 0, 4, 5), "mixes the two halves"),
+])
+def test_direct_square_generators_must_lie_in_the_square(bad, message):
+    square = direct_square(wreath_tower(alternating(3), 1))
+    square.generators += (Permutation(bad),)
+    with pytest.raises(AssertionError, match=message):
+        square.order()
