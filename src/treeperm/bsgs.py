@@ -219,15 +219,28 @@ class StabilizerChain:
                 return j
 
 
-def reduce_generators(degree: int, elements: Iterable[Raw]) -> tuple[list[Raw], StabilizerChain]:
+def reduce_generators(degree: int, elements: Iterable[Raw],
+                      order: int | None = None) -> tuple[list[Raw], StabilizerChain]:
     """Sift-reduce: keep only elements that grow the group so far.
 
     Returns the kept generators and the chain of the generated group.
     Deterministic given the iteration order of `elements`.
+
+    With `order`, the proved order of the generated group (for instance
+    the size of a scanned subgroup), the pass stops once the chain
+    reaches it.  The chain is complete after every kept element, so no
+    later element could grow it: the kept list and the chain are those
+    of a full pass.  A chain that ends at any other order raises
+    AssertionError, which checks the count against the chain.
     """
     chain = StabilizerChain(degree)
     kept: list[Raw] = []
     for g in elements:
         if chain.add_generator(g):
             kept.append(g)
+            if chain.order() == order:
+                break
+    if order is not None and chain.order() != order:
+        raise AssertionError(f"elements generate a group of order {chain.order()}, "
+                             f"not the expected {order}")
     return kept, chain

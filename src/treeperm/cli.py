@@ -129,10 +129,8 @@ def cmd_wreath_build(args, caps) -> tuple[dict, int]:
         tower, ambient = sylow_tower(base, args.sylow, args.depth, caps)
         result["sylow_p"] = args.sylow
         result["ambient_order"] = ambient.group.order()
-        result["certified"] = {
-            "containment": all(ambient.group.membership(g) for g in tower.group.generators),
-            "order_is_p_part": True,  # construction raises otherwise
-        }
+        # sylow_tower raises unless both hold
+        result["certified"] = {"containment": True, "order_is_p_part": True}
     else:
         tower = wreath_tower(base, args.depth, caps)
         result["certified"] = {"order_law": tower.group.order() == tower.expected_order()}
@@ -271,7 +269,11 @@ def _parse_subset(T: WreathTower, spec: str) -> int:
             path = tuple(int(x) - 1 for x in token.split("."))
         except ValueError as exc:
             raise InputError(f"bad cone path {token!r}") from exc
-        bits |= cone_bits(T, path)
+        try:
+            bits |= cone_bits(T, path)
+        except InputError as exc:
+            raise InputError(f"cone path {token!r} is not a vertex of the depth-{T.depth} "
+                             f"tree (child indices 1..{T.arity})") from exc
     return algebra.complement(bits) if complement else bits
 
 

@@ -58,15 +58,20 @@ class CriterionReport:
 
 
 def compute_facts(F: PermGroup, Fp: PermGroup) -> dict:
-    """Finite facts feeding the verdicts (BSGS-backed route)."""
+    """Finite facts feeding the verdicts (BSGS-backed route).
+
+    Each side's facts are computed once: when Fp is F, they are shared.
+    """
     young = F.young_group()
+    f_side = (F.is_transitive(), F.acts_freely())
+    fp_side = f_side if Fp is F else (Fp.is_transitive(), Fp.acts_freely())
     return {
-        "F_transitive": F.is_transitive(),
-        "F_free": F.acts_freely(),
-        "Fp_transitive": Fp.is_transitive(),
-        "Fp_free": Fp.acts_freely(),
+        "F_transitive": f_side[0],
+        "F_free": f_side[1],
+        "Fp_transitive": fp_side[0],
+        "Fp_free": fp_side[1],
         "Fp_gen_by_stabs": Fp.generated_by_point_stabilizers(),
-        "F_le_Fp": F.is_subgroup_of(Fp),
+        "F_le_Fp": Fp is F or F.is_subgroup_of(Fp),
         "Fp_le_young_F": Fp.is_subgroup_of(young),
     }
 
@@ -74,7 +79,8 @@ def compute_facts(F: PermGroup, Fp: PermGroup) -> dict:
 def oracle_facts(F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> dict:
     """The same facts by exhaustive closure only: no stabilizer chains."""
     f_elems = closure_elements(F.degree, F.generators, caps.element_cap)
-    fp_elems = closure_elements(Fp.degree, Fp.generators, caps.element_cap)
+    fp_elems = f_elems if Fp is F else closure_elements(Fp.degree, Fp.generators,
+                                                        caps.element_cap)
 
     def orbit(elems, a):
         return {g(a) for g in elems}

@@ -4,6 +4,15 @@ Covers group arithmetic, membership, order, orbits, stabilizers, normal
 closures/cores, centralizers, intersections, and the transitivity /
 free-action / stabilizer-generation predicates used by the tree-group
 criteria.
+
+Centralizers, intersections and normal cores are element scans on raw
+image tuples.  A scan has counted its subgroup exactly, so it passes
+the count to `from_elements` as the proved order: sifting stops once
+the chain reaches it, and a chain that ends elsewhere raises.  Point
+stabilizers stop at |G| / |orbit| and are cached per point.  The graft
+enumeration in `localact` passes no order: there the leaf count is the
+independent check against the chain order, and must not also be its
+stopping rule.
 """
 
 from __future__ import annotations
@@ -14,14 +23,14 @@ from typing import Callable, Iterable, Sequence
 from .bsgs import StabilizerChain, reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError, read_input_file
-from .perms import Permutation, commutator, parse_cycles
+from .perms import Permutation, _compose, _invert, commutator, parse_cycles
 
 
 class PermGroup:
     """Permutation group on {0,...,degree-1} given by generators.
 
     Immutable after construction except the lazily built stabilizer
-    chain and element list.
+    chain, element list and point stabilizers.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
@@ -41,17 +50,21 @@ class PermGroup:
         self.name = name
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
+        self._stabilizers: dict[int, PermGroup] = {}
         # set by a construction that can prove an upper bound on the order:
         # maps the raw generators to the bound, raising if the proof fails
         self._order_bound: Callable[[list[tuple]], int] | None = None
 
     @classmethod
-    def from_elements(cls, degree: int, elements: Iterable[tuple]) -> "PermGroup":
+    def from_elements(cls, degree: int, elements: Iterable[tuple],
+                      order: int | None = None) -> "PermGroup":
         """Group generated by image tuples, keeping only those that grow it.
 
-        The sift chain built on the way becomes the group's chain.
+        The sift chain built on the way becomes the group's chain.  A
+        proved `order` stops the sifting once the chain reaches it and
+        is checked against the chain (see `reduce_generators`).
         """
-        kept, chain = reduce_generators(degree, elements)
+        kept, chain = reduce_generators(degree, elements, order)
         group = cls(degree, [Permutation(t) for t in kept])
         group._chain = chain
         return group
@@ -129,29 +142,40 @@ class PermGroup:
         return parts
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, generated via Schreier's lemma, sift-reduced."""
+        """Stabilizer of a point, generated via Schreier's lemma, sift-reduced.
+
+        Sifting stops at the orbit-stabilizer order |G| / |orbit|, so
+        Schreier generators past it are never formed.  Cached per point.
+        """
         if not 0 <= point < self.degree:
             raise InputError(f"point {point} out of range for degree {self.degree}")
-        ident = Permutation.identity(self.degree)
+        if point in self._stabilizers:
+            return self._stabilizers[point]
+        gens = [g.images for g in self.generators]
+        ident = tuple(range(self.degree))
         transversal = {point: ident}
         orbit = [point]
         idx = 0
         while idx < len(orbit):
             u = orbit[idx]
-            for g in self.generators:
-                v = g(u)
+            for g in gens:
+                v = g[u]
                 if v not in transversal:
-                    transversal[v] = g * transversal[u]
+                    transversal[v] = _compose(g, transversal[u])
                     orbit.append(v)
             idx += 1
-        schreier = []
-        for u in orbit:
-            tu = transversal[u]
-            for g in self.generators:
-                s = transversal[g(u)].inverse() * g * tu
-                if not s.is_identity():
-                    schreier.append(s.images)
-        return PermGroup.from_elements(self.degree, schreier)
+
+        def schreier():
+            for u in orbit:
+                tu = transversal[u]
+                for g in gens:
+                    s = _compose(_invert(transversal[g[u]]), _compose(g, tu))
+                    if s != ident:
+                        yield s
+
+        stab = PermGroup.from_elements(self.degree, schreier(), self.order() // len(orbit))
+        self._stabilizers[point] = stab
+        return stab
 
     # -- predicates --------------------------------------------------------
 
@@ -212,25 +236,28 @@ class PermGroup:
         """Largest normal subgroup of self contained in U.
 
         Exhaustive over U's elements: u survives iff its whole
-        conjugacy closure under self stays inside U.
+        conjugacy closure under self stays inside U.  The union of the
+        classes that do is the core, so its size is the proved order.
         """
         self._require_subgroup(U, "normal_core")
-        u_elems = set(p.images for p in U.elements(caps))
+        conjugators = [(g.images, _invert(g.images)) for g in self.generators]
+        u_list = [p.images for p in U.elements(caps)]
+        u_elems = set(u_list)
         core: list[tuple] = []
         decided: set[tuple] = set()
-        for u in U.elements(caps):
-            if u.images in decided:
+        for u in u_list:
+            if u in decided:
                 continue
             # conjugacy class of u under self
-            cls = {u.images}
+            cls = {u}
             frontier = [u]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for g in self.generators:
-                        y = g * x * g.inverse()
-                        if y.images not in cls:
-                            cls.add(y.images)
+                    for g, g_inv in conjugators:
+                        y = _compose(_compose(g, x), g_inv)
+                        if y not in cls:
+                            cls.add(y)
                             nxt.append(y)
                 frontier = nxt
             if cls <= u_elems:
@@ -239,7 +266,7 @@ class PermGroup:
                 decided.update(cls)
             else:
                 decided.update(cls & u_elems)
-        return PermGroup.from_elements(self.degree, core)
+        return PermGroup.from_elements(self.degree, core, len(core))
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup: normal closure of generator-pair commutators."""
@@ -255,9 +282,10 @@ class PermGroup:
         """Centralizer of H in self, by exhaustive element scan."""
         if H.degree != self.degree:
             raise InputError("centralizer: degree mismatch")
-        return PermGroup.from_elements(
-            self.degree, (g.images for g in self.elements(caps)
-                          if all((g * h).images == (h * g).images for h in H.generators)))
+        hs = [h.images for h in H.generators]
+        found = [g for g in (p.images for p in self.elements(caps))
+                 if all(_compose(g, h) == _compose(h, g) for h in hs)]
+        return PermGroup.from_elements(self.degree, found, len(found))
 
     def center(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         return self.centralizer(self, caps)
@@ -267,8 +295,9 @@ class PermGroup:
         if other.degree != self.degree:
             raise InputError("intersection: degree mismatch")
         small, big = (self, other) if self.order() <= other.order() else (other, self)
-        return PermGroup.from_elements(
-            self.degree, (g.images for g in small.elements(caps) if big.membership(g)))
+        contains = big.chain.contains
+        found = [g.images for g in small.elements(caps) if contains(g.images)]
+        return PermGroup.from_elements(self.degree, found, len(found))
 
     def _require_subgroup(self, K: "PermGroup", op: str) -> None:
         if K.degree != self.degree:
@@ -287,24 +316,31 @@ class PermGroup:
 
 def closure_elements(degree: int, gens: Sequence[Permutation], cap: int) -> list[Permutation]:
     """Exhaustive closure oracle: plain BFS over image tuples."""
-    ident = Permutation.identity(degree)
-    seen = {ident.images}
+    raw = [g.images for g in gens]
+    ident = tuple(range(degree))
+    seen = {ident}
     out = [ident]
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                u = w * g
-                if u.images not in seen:
+            for g in raw:
+                u = _compose(w, g)
+                if u not in seen:
                     if len(seen) >= cap:
                         raise ResourceLimitError("element enumeration", cap, len(seen) + 1,
                                                  "--element-cap")
-                    seen.add(u.images)
+                    seen.add(u)
                     nxt.append(u)
                     out.append(u)
         frontier = nxt
-    return out
+    # products of permutations need no bijection check: wrap each once
+    wrapped = []
+    for u in out:
+        p = Permutation.__new__(Permutation)
+        p.images = u
+        wrapped.append(p)
+    return wrapped
 
 
 # -- named families and group specs -----------------------------------------

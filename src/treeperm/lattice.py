@@ -50,9 +50,8 @@ def cone_bits(T: WreathTower, vertex: tuple[int, ...]) -> int:
 def _panel_stabilizer_gens(F: PermGroup, fixed: list[int],
                            caps: Caps) -> tuple[Permutation, ...]:
     """Generators of the pointwise stabilizer of `fixed` in F."""
-    return PermGroup.from_elements(
-        F.degree, (s.images for s in F.elements(caps) if all(s(j) == j for j in fixed))
-    ).generators
+    found = [s.images for s in F.elements(caps) if all(s(j) == j for j in fixed)]
+    return PermGroup.from_elements(F.degree, found, len(found)).generators
 
 
 def rist(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:

@@ -134,7 +134,8 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
         # one chain per class: the sift-reduced rep keeps it, and its
         # generators seed the next extensions
         idxs = tuple(sorted(canonical))
-        rep = PermGroup.from_elements(G.degree, (table.elements[i].images for i in idxs))
+        rep = PermGroup.from_elements(G.degree, (table.elements[i].images for i in idxs),
+                                      len(idxs))
         out.append(SubgroupClass(rep=rep, order=len(canonical), class_size=size,
                                  element_indices=idxs))
         queue.append((canonical, [table.index[g.images] for g in rep.generators]))

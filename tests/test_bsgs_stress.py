@@ -5,9 +5,15 @@ import random
 
 import pytest
 
-from treeperm.bsgs import StabilizerChain
-from treeperm.groups import PermGroup, closure_elements
+from treeperm import groups
+from treeperm.bsgs import StabilizerChain, reduce_generators
+from treeperm.groups import PermGroup, closure_elements, symmetric
+from treeperm.lattice import cone_bits, rist
+from treeperm.localact import Graft, ball_stabilizer_group
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
+from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+from treeperm.treeball import build_ball, legal_coloring
+from treeperm.wreath import wreath_tower
 
 
 def random_group(rng, degree, n_gens):
@@ -48,7 +54,6 @@ def test_orbit_stabilizer_on_random_groups():
 def test_random_elements_are_uniformish():
     # all 6 elements of Sym(3) should appear in a modest sample
     rng = random.Random(99)
-    from treeperm.groups import symmetric
     G = symmetric(3)
     seen = {G.random_element(rng).images for _ in range(200)}
     assert len(seen) == 6
@@ -153,3 +158,85 @@ def test_up_to_order_falls_back_when_sifting_falls_short(monkeypatch):
     chain = StabilizerChain.up_to_order(6, gens, 720)
     assert chain.order() == 720 and rebuilt == [6]
     assert chain.contains(parse_cycles("(1 3)(2 5 6)", 6).images)
+
+
+def _check_bounded_against_full_pass(monkeypatch) -> list:
+    """Make every `from_elements` also run the unbounded sift-reduce and
+    compare; returns the list of orders the callers passed."""
+    orders = []
+
+    def both_ways(degree, elements, order=None):
+        elements = list(elements)
+        kept, chain = reduce_generators(degree, elements, order)
+        full_kept, full_chain = reduce_generators(degree, elements)
+        assert kept == full_kept
+        assert chain.base() == full_chain.base()
+        assert chain.order() == full_chain.order()
+        orders.append(order)
+        return kept, chain
+
+    monkeypatch.setattr(groups, "reduce_generators", both_ways)
+    return orders
+
+
+def test_bounded_sift_keeps_what_a_full_pass_keeps(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orders = _check_bounded_against_full_pass(monkeypatch)
+    perms = lambda n: st.permutations(range(n)).map(Permutation)
+    cases = st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(perms(n), min_size=1, max_size=3), st.lists(perms(n), max_size=2),
+        st.integers(0, 2 ** 16)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        gens, others, seed = case
+        n = gens[0].degree
+        G = PermGroup(n, gens)
+        rng = random.Random(seed)
+        G.centralizer(PermGroup(n, [G.random_element(rng)]))
+        G.intersection(PermGroup(n, others))
+        G.normal_core(PermGroup(n, [G.random_element(rng) for _ in range(2)]))
+        for a in range(n):
+            G.point_stabilizer(a)
+
+    check()
+    assert orders and None not in orders
+
+
+def test_subgroup_classes_and_panel_stabilizers_sift_to_their_order(monkeypatch):
+    orders = _check_bounded_against_full_pass(monkeypatch)
+    assert len(enumerate_subgroups_up_to_conjugacy(symmetric(4))) == 11
+    # the root panel fixes leaf cone 3 and may swap cones 1 and 2
+    T = wreath_tower(symmetric(3), 2)
+    assert rist(T, cone_bits(T, (0,)) | cone_bits(T, (1,))).order() == 6 * 6 * 2
+    # the class reps and the panel stabilizers pass their counts; rist does not
+    assert 24 in orders and 2 in orders and None in orders
+
+
+def test_bounded_sift_raises_unless_the_chain_ends_at_its_order():
+    elems = [parse_cycles(c, 3).images for c in ("()", "(1 2)", "(2 3)")]
+    with pytest.raises(AssertionError, match="order 6, not the expected 3"):
+        reduce_generators(3, elems, 3)
+    with pytest.raises(AssertionError, match="order 2, not the expected 6"):
+        reduce_generators(3, elems[:2], 6)
+    kept, chain = reduce_generators(3, elems, 6)
+    assert kept == elems[1:] and chain.order() == 6
+
+
+def test_graft_count_still_checks_the_chain(monkeypatch):
+    # graft enumeration passes no order: the leaf count stays the
+    # independent check, so one leaf too many is caught
+    leaves = Graft._leaves
+
+    def with_spurious_leaf(self, *args, **kwargs):
+        first = None
+        for images in leaves(self, *args, **kwargs):
+            first = first or images
+            yield images
+        yield first
+
+    monkeypatch.setattr(Graft, "_leaves", with_spurious_leaf)
+    with pytest.raises(AssertionError, match="graft count 49 disagrees with BSGS order 48"):
+        ball_stabilizer_group(legal_coloring(build_ball(3, 2, "vertex")), symmetric(3))

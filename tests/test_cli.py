@@ -247,6 +247,8 @@ MALFORMED = {
     "color-missing-file": ["tree", "ball", "--d", "3", "--radius", "2",
                            "--color", "file:/nonexistent.json"],
     "rist-bad-depth": ["lattice", "rist", "--tower", "Klein4:x", "--subset", "1"],
+    "rist-subset-index-too-big": ["lattice", "rist", "--tower", "Klein4:2", "--subset", "9.9"],
+    "rist-subset-index-zero": ["lattice", "rist", "--tower", "Klein4:2", "--subset", "0.1"],
     "sweep-bad-depth": ["lattice", "sweep", "--tower", "Klein4:x"],
     "triv-bad-argument": ["wreath", "build", "--base", "Triv(x)", "--depth", "2"],
     "pi-not-integer": ["series", "op", "--group", "Sym(4)", "--kind", "core",
@@ -265,8 +267,13 @@ MALFORMED = {
 }
 
 # exact stderr where the message itself is pinned: a named family's own
-# complaint passes through, an unknown spec keeps the generic line
+# complaint passes through, an unknown spec keeps the generic line, and a
+# bad cone path is echoed as the 1-based token typed
 ERROR_TEXT = {
+    "rist-subset-index-too-big":
+        "error: cone path '9.9' is not a vertex of the depth-2 tree (child indices 1..4)\n",
+    "rist-subset-index-zero":
+        "error: cone path '0.1' is not a vertex of the depth-2 tree (child indices 1..4)\n",
     "family-dih-too-small": "error: Dih(n) needs n >= 3, got 2\n",
     "family-sym-zero": "error: degree must be positive, got 0\n",
     "family-cyc-zero": "error: Cyc(n) needs n >= 1, got 0\n",
