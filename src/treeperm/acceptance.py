@@ -16,10 +16,9 @@ from .config import DEFAULT_CAPS, DEFAULT_SEED, Caps
 from .criteria import eta_estimate, evaluate, oracle_facts, survey
 from .groups import PermGroup, alternating, cyclic, dihedral, klein4, symmetric
 from .lattice import lattice_sweep
-from .localact import (Graft, ball_stabilizer_group, edge_ball_group,
-                       half_ball_rigid_stabilizers, local_action,
-                       random_ball_automorphism)
-from .perms import Permutation
+from .localact import (Graft, _local_action, ball_stabilizer_group, edge_ball_group,
+                       half_ball_rigid_stabilizers, random_ball_automorphism)
+from .perms import Permutation, _compose
 from .series import p_part, p_residual, p_residual_oracle, prime_factors, sylow_subgroup, tate_check
 from .subgroups import enumerate_subgroups_up_to_conjugacy
 from .treeball import build_ball, legal_coloring
@@ -159,13 +158,13 @@ def criterion_06_cocycle(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) ->
                 for F in (symmetric(d), alternating(d)):
                     graft = Graft(ball, F, caps)
                     for _ in range(pairs_per_config):
-                        g = random_ball_automorphism(graft, rng)
-                        h = random_ball_automorphism(graft, rng)
-                        gh = g * h
+                        g = random_ball_automorphism(graft, rng).images
+                        h = random_ball_automorphism(graft, rng).images
+                        gh = _compose(g, h)
                         for v in interior:
-                            lhs = local_action(ball, gh, v)
-                            rhs = local_action(ball, g, h(v)) * local_action(ball, h, v)
-                            if lhs.images != rhs.images:
+                            lhs = _local_action(ball, gh, v)
+                            rhs = _compose(_local_action(ball, g, h[v]), _local_action(ball, h, v))
+                            if lhs != rhs:
                                 raise AssertionError(
                                     f"cocycle violated at d={d} r={r} v={v}")
                         total += 1

@@ -119,14 +119,17 @@ class StabilizerChain:
 
     def _strip(self, g: Raw, start: int) -> tuple[Raw, int]:
         h = g
-        for i in range(start, len(self.levels)):
-            lev = self.levels[i]
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lev = levels[i]
             u = h[lev.point]
+            if u == lev.point:
+                continue  # the level's transversal element is the identity
             t_inv = lev.inv_transversal.get(u)
             if t_inv is None:
                 return h, i
             h = _compose(t_inv, h)
-        return h, len(self.levels)
+        return h, len(levels)
 
     def _register(self, h: Raw, found_at: int, from_level: int) -> None:
         # h fixes the base points of all levels < found_at
@@ -219,8 +222,8 @@ class StabilizerChain:
                 return j
 
 
-def reduce_generators(degree: int, elements: Iterable[Raw],
-                      order: int | None = None) -> tuple[list[Raw], StabilizerChain]:
+def reduce_generators(degree: int, elements: Iterable, order: int | None = None,
+                      with_inverses: bool = False) -> tuple[list[Raw], StabilizerChain]:
     """Sift-reduce: keep only elements that grow the group so far.
 
     Returns the kept generators and the chain of the generated group.
@@ -232,10 +235,30 @@ def reduce_generators(degree: int, elements: Iterable[Raw],
     later element could grow it: the kept list and the chain are those
     of a full pass.  A chain that ends at any other order raises
     AssertionError, which checks the count against the chain.
+
+    With `with_inverses`, `elements` yields (g, g^-1) pairs.  Each pair
+    must compose to the identity, which proves g a bijection and g^-1
+    its inverse; AssertionError otherwise.  Every element before g lies
+    in the group H of the chain so far, so g is in H exactly when the
+    step prev^-1 g from the previous element prev is.  That step is
+    sifted first, and only a step that does not sift to the identity
+    sends g itself through `add_generator`: the kept list and the chain
+    are those of the plain pass.  A walk whose neighbours differ on few
+    points, such as the graft leaves, sifts each step in a few composes.
     """
     chain = StabilizerChain(degree)
     kept: list[Raw] = []
-    for g in elements:
+    prev_inv = None
+    for index, g in enumerate(elements):
+        if with_inverses:
+            g, g_inv = g
+            if _compose(g, g_inv) != chain.ident:
+                raise AssertionError(f"element {index} and its given inverse "
+                                     "do not compose to the identity")
+            step_sifts = prev_inv is not None and chain.contains(_compose(prev_inv, g))
+            prev_inv = g_inv
+            if step_sifts:
+                continue
         if chain.add_generator(g):
             kept.append(g)
             if chain.order() == order:

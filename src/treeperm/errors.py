@@ -22,9 +22,17 @@ class ResourceLimitError(RuntimeError):
         self.requested = requested
         self.flag = flag
         super().__init__(
-            f"{cap_name} cap exceeded: requested {requested}, cap {cap_value} "
-            f"(raise with {flag})"
+            f"{cap_name} cap exceeded: requested {_amount(requested)}, "
+            f"cap {_amount(cap_value)} (raise with {flag})"
         )
+
+
+def _amount(n: int) -> str:
+    """n in decimal, or the power of two below it once n has about a
+    thousand digits, which a message cannot usefully show."""
+    if n.bit_length() > 3300:
+        return f"over 2^{n.bit_length() - 1}"
+    return str(n)
 
 
 def read_input_file(path: str, what: str) -> str:

@@ -12,7 +12,9 @@ the chain reaches it, and a chain that ends elsewhere raises.  Point
 stabilizers stop at |G| / |orbit| and are cached per point.  The graft
 enumeration in `localact` passes no order: there the leaf count is the
 independent check against the chain order, and must not also be its
-stopping rule.
+stopping rule.  It passes every leaf with its inverse instead: each pair
+is checked to compose to the identity, and each leaf is sifted as one
+step from the leaf before, which differs from it only low in the ball.
 """
 
 from __future__ import annotations
@@ -56,15 +58,17 @@ class PermGroup:
         self._order_bound: Callable[[list[tuple]], int] | None = None
 
     @classmethod
-    def from_elements(cls, degree: int, elements: Iterable[tuple],
-                      order: int | None = None) -> "PermGroup":
+    def from_elements(cls, degree: int, elements: Iterable,
+                      order: int | None = None, with_inverses: bool = False) -> "PermGroup":
         """Group generated by image tuples, keeping only those that grow it.
 
         The sift chain built on the way becomes the group's chain.  A
         proved `order` stops the sifting once the chain reaches it and
-        is checked against the chain (see `reduce_generators`).
+        is checked against the chain; with `with_inverses` the elements
+        come as checked (g, g^-1) pairs and each is sifted as a step
+        from the one before (see `reduce_generators`).
         """
-        kept, chain = reduce_generators(degree, elements, order)
+        kept, chain = reduce_generators(degree, elements, order, with_inverses)
         group = cls(degree, [Permutation(t) for t in kept])
         group._chain = chain
         return group

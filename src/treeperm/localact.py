@@ -7,6 +7,12 @@ c_v^{-1}.  Groups with prescribed panels are generated by breadth-first
 grafting: choose a panel at the center, then per vertex a panel from
 the coset compatible with the inherited inward color; the graft count
 and the BSGS order of the generated group certify each other.
+
+The leaves are walked depth first on raw image tuples, each with its
+inverse kept up to date as the children are placed.  Every leaf is
+proved a bijection by composing it with that inverse, and is sifted as
+the step from the leaf before it, which moves only the vertices below
+the last panels changed (see `bsgs.reduce_generators`).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Sequence
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import Permutation, _invert
 from .treeball import TreeBall
 
 
@@ -41,14 +47,17 @@ def local_action(ball: TreeBall, g: Permutation, v: int) -> Permutation:
     """sigma(g, v) as a permutation of the colors {0..d-1}."""
     if not ball.is_colored():
         raise InputError("local actions need a colored ball")
-    w = g(v)
+    return Permutation(_local_action(ball, g.images, v))
+
+
+def _local_action(ball: TreeBall, g: tuple, v: int) -> tuple:
+    """sigma(g, v) as a color image tuple, for a colored ball and raw g."""
+    w = g[v]
     if not ball.is_interior(v) or not ball.is_interior(w):
         raise InputError(f"local action undefined: vertex {v} or image {w} is not interior")
-    images = [0] * ball.d
-    for c in range(ball.d):
-        u = ball.nbr_by_color[v][c]
-        images[c] = ball.color_of[w][g(u)]
-    return Permutation(images)
+    nbr = ball.nbr_by_color[v]
+    color = ball.color_of[w]
+    return tuple([color[g[nbr[c]]] for c in range(ball.d)])
 
 
 def panel_map(ball: TreeBall, g: Permutation) -> dict[int, Permutation]:
@@ -90,7 +99,13 @@ class Graft:
     """Per-(ball, F) tables for panel-constrained counting, enumeration and sampling.
 
     Build one per (ball, F) and reuse it: every ball group, graft count
-    and random sample over that pair reads the same transition cosets.
+    and random sample over that pair reads the same plan.  The plan has
+    one step per interior vertex v, parents before children: v, its
+    parent, its children with their colors, and the panels allowed at v
+    keyed by the color j of the edge from v's image to its parent's image
+    (the coset of F sending v's inward color to j), or None at a free
+    center, which takes every panel.  Panels are raw color image tuples
+    in the order of `F.elements()`, all of them in `elems`.
     """
 
     def __init__(self, ball: TreeBall, F: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -101,14 +116,19 @@ class Graft:
         self.ball = ball
         self.F = F
         self.caps = caps
-        self.elems = F.elements(caps)
-        self.by_transition: dict[tuple[int, int], list[Permutation]] = {}
-        for sigma in self.elems:
-            for i in range(ball.d):
-                self.by_transition.setdefault((i, sigma(i)), []).append(sigma)
-        # interior vertices in BFS order; children processed after parents
-        self.interior = sorted(ball.interior_vertices(),
-                               key=lambda v: (ball.depth[v], v))
+        self.elems = [sigma.images for sigma in F.elements(caps)]
+        self.plan: list[tuple] = []
+        for v in sorted(ball.interior_vertices(), key=lambda v: (ball.depth[v], v)):
+            parent = ball.parent[v]
+            cosets = None
+            if parent is not None:
+                cosets = {}
+                inward = ball.color_of[v][parent]
+                for sigma in self.elems:
+                    cosets.setdefault(sigma[inward], []).append(sigma)
+            children = tuple(ball.children[v])
+            colors = tuple(ball.color_of[v][u] for u in children)
+            self.plan.append((v, parent, children, colors, cosets))
 
     def count(self, swap: bool = False) -> int:
         """Exact graft count: product of per-vertex compatible-coset sizes.
@@ -122,12 +142,12 @@ class Graft:
         images = self._roots(swap)
         total = 1
         # sizes are choice-independent, so one sweep with any concrete panels works
-        for v in self.interior:
-            choices = self._choices(images, v)
-            total *= len(choices)
+        for step in self.plan:
+            panels = self._panels(step, images)
+            total *= len(panels)
             if total == 0:
                 return 0
-            self._apply(images, v, choices[0])
+            self._place(step, panels[0], images)
         return total
 
     def _roots(self, swap: bool) -> list[int | None]:
@@ -140,46 +160,71 @@ class Graft:
             images[0], images[1] = 1, 0
         return images
 
-    def _choices(self, images: list[int], v: int,
-                 forced_identity: frozenset[int] = frozenset()) -> Sequence[Permutation]:
-        ball = self.ball
-        if ball.parent[v] is None:
-            # free center vertex
-            choices = self.elems
-        else:
-            i = ball.inward_color(v)
-            j = ball.color_of[images[v]][images[ball.parent[v]]]
-            choices = self.by_transition.get((i, j), [])
-        if v in forced_identity:
-            ident = Permutation.identity(ball.d)
-            return [ident] if any(s.images == ident.images for s in choices) else []
-        return choices
+    def _panels(self, step: tuple, images: list[int]) -> Sequence[tuple]:
+        """Panels allowed at the step's vertex, given its and its parent's images."""
+        v, parent, _, _, cosets = step
+        if cosets is None:
+            return self.elems
+        return cosets.get(self.ball.color_of[images[v]][images[parent]], ())
 
-    def _apply(self, images: list[int], v: int, sigma: Permutation) -> None:
-        """Place the images of v's children as dictated by the panel at v."""
-        ball = self.ball
-        w = images[v]
-        for u in ball.children[v]:
-            images[u] = ball.nbr_by_color[w][sigma(ball.color_of[v][u])]
+    def _place(self, step: tuple, sigma: tuple, images: list[int]) -> None:
+        """Place the images of the step vertex's children as its panel dictates."""
+        v, _, children, colors, _ = step
+        nbr = self.ball.nbr_by_color[images[v]]
+        for u, c in zip(children, colors):
+            images[u] = nbr[sigma[c]]
 
-    def _leaves(self, swap: bool, forced_identity: frozenset[int]):
-        """Yield the vertex-image tuples of all panel-compatible automorphisms."""
-        ball = self.ball
+    def _leaves(self, swap: bool, forced_identity: frozenset[int] = frozenset()):
+        """Yield (leaf, inverse) image tuples of all panel-compatible automorphisms.
+
+        Depth first over the plan, panels in F order, on one explicit
+        stack: `options[k]` holds the panels allowed at step k and
+        `tried[k]` how many of them were placed.  Every child assignment
+        images[u] = x also sets inv[x] = u, so `inv` is the leaf's inverse
+        whenever the leaf is a bijection; `reduce_generators` checks that.
+        """
+        plan = self.plan
+        nbr_by_color = self.ball.nbr_by_color
         images = self._roots(swap)
+        inv = [0] * len(images)
+        for v, x in enumerate(images):
+            if x is not None:
+                inv[x] = v
+        last = len(plan) - 1
+        if last < 0:
+            yield tuple(images), tuple(inv)
+            return
+        ident = tuple(range(self.ball.d))
 
-        def rec(idx: int):
-            if idx == len(self.interior):
-                yield tuple(images)
-                return
-            v = self.interior[idx]
-            saved = [images[u] for u in ball.children[v]]
-            for sigma in self._choices(images, v, forced_identity):
-                self._apply(images, v, sigma)
-                yield from rec(idx + 1)
-            for u, old in zip(ball.children[v], saved):
-                images[u] = old
+        def allowed(k: int) -> Sequence[tuple]:
+            panels = self._panels(plan[k], images)
+            if plan[k][0] in forced_identity:
+                return (ident,) if ident in panels else ()
+            return panels
 
-        yield from rec(0)
+        options: list[Sequence[tuple]] = [()] * len(plan)
+        tried = [0] * len(plan)
+        options[0] = allowed(0)
+        k = 0
+        while k >= 0:
+            c = tried[k]
+            if c == len(options[k]):
+                k -= 1
+                continue
+            tried[k] = c + 1
+            sigma = options[k][c]
+            v, _, children, colors, _ = plan[k]
+            nbr = nbr_by_color[images[v]]
+            for u, col in zip(children, colors):
+                x = nbr[sigma[col]]
+                images[u] = x
+                inv[x] = u
+            if k == last:
+                yield tuple(images), tuple(inv)
+            else:
+                k += 1
+                options[k] = allowed(k)
+                tried[k] = 0
 
     def _check_caps(self, predicted: int) -> None:
         if predicted > self.caps.ball_order_cap:
@@ -204,12 +249,12 @@ class Graft:
         def counted():
             nonlocal count
             if base is not None:
-                yield from (g.images for g in base.generators)
-            for images in self._leaves(swap, forced_identity):
+                yield from ((g.images, _invert(g.images)) for g in base.generators)
+            for pair in self._leaves(swap, forced_identity):
                 count += 1
-                yield images
+                yield pair
 
-        group = PermGroup.from_elements(self.ball.n_vertices, counted())
+        group = PermGroup.from_elements(self.ball.n_vertices, counted(), with_inverses=True)
         expected = count + (base.order() if base is not None else 0)
         if group.order() != expected:
             raise AssertionError(
@@ -304,9 +349,10 @@ def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = Fals
     grafts = {v: Graft(graft.ball, H, graft.caps)
               for v, H in (defect_panels or {}).items()}
     images = graft._roots(swap)
-    for v in graft.interior:
-        choices = grafts.get(v, graft)._choices(images, v)
-        if not choices:
-            raise InputError(f"no compatible panel at vertex {v}")
-        graft._apply(images, v, choices[rng.randrange(len(choices))])
+    for k, step in enumerate(graft.plan):
+        source = grafts.get(step[0], graft)
+        panels = source._panels(source.plan[k], images)
+        if not panels:
+            raise InputError(f"no compatible panel at vertex {step[0]}")
+        graft._place(step, panels[rng.randrange(len(panels))], images)
     return Permutation(images)

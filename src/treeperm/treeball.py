@@ -40,7 +40,7 @@ class TreeBall:
         return out
 
     def is_interior(self, v: int) -> bool:
-        return len(self.neighbors(v)) == self.d
+        return len(self.children[v]) + (self.parent[v] is not None) == self.d
 
     def interior_vertices(self) -> list[int]:
         return [v for v in range(self.n_vertices) if self.is_interior(v)]
@@ -70,18 +70,19 @@ class TreeBall:
         return out
 
 
-def _side_sizes(d: int, radius: int, center_kind: str) -> int:
-    if center_kind == "vertex":
-        n = 1
-        level = 1
-        for k in range(1, radius + 1):
-            level = d * (d - 1) ** (k - 1)
-            n += level
-        return n
-    n = 2
+def _vertex_count(d: int, radius: int, center_kind: str, cap: int) -> tuple[int, int]:
+    """(vertices within radius k of the center, k), adding one sphere at a
+    time and stopping at the first k whose count passes `cap`, so a huge
+    radius costs a few steps and never builds a huge integer."""
+    n = 1 if center_kind == "vertex" else 2
     for k in range(1, radius + 1):
-        n += 2 * (d - 1) ** k
-    return n
+        if center_kind == "vertex":
+            n += d * (d - 1) ** (k - 1)
+        else:
+            n += 2 * (d - 1) ** k
+        if n > cap:
+            return n, k
+    return n, radius
 
 
 def build_ball(d: int, radius: int, center_kind: str = "vertex",
@@ -93,9 +94,11 @@ def build_ball(d: int, radius: int, center_kind: str = "vertex",
         raise InputError(f"radius must be >= 0, got {radius}")
     if center_kind not in ("vertex", "edge"):
         raise InputError(f"center must be 'vertex' or 'edge', got {center_kind!r}")
-    total = _side_sizes(d, radius, center_kind)
+    total, reached = _vertex_count(d, radius, center_kind, caps.tree_vertex_cap)
     if total > caps.tree_vertex_cap:
-        raise ResourceLimitError("tree vertices", caps.tree_vertex_cap, total, "--tree-vertex-cap")
+        what = "tree vertices" if reached == radius else \
+            f"tree vertices (radius {reached} of {radius})"
+        raise ResourceLimitError(what, caps.tree_vertex_cap, total, "--tree-vertex-cap")
 
     parent: list[int | None] = []
     depth: list[int] = []

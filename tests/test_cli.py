@@ -264,6 +264,11 @@ MALFORMED = {
     "family-cyc-zero": ["tate", "verify", "--group", "Cyc(0)", "--p", "2"],
     "family-bad-argument": ["tate", "verify", "--group", "Sym(x)", "--p", "2"],
     "unknown-group-spec": ["tate", "verify", "--group", "Foo(3)", "--p", "2"],
+    "ball-radius-20000": ["ball", "group", "--d", "3", "--radius", "20000", "--F", "Sym(3)"],
+    "ball-radius-999999": ["ball", "group", "--d", "3", "--radius", "999999", "--F", "Sym(3)"],
+    "ball-order-1850-digits": ["ball", "group", "--d", "3", "--radius", "12", "--F", "Sym(3)"],
+    "tree-vertex-cap-4300-digits": ["tree", "ball", "--d", "3", "--radius", "20000",
+                                    "--tree-vertex-cap", "9" * 4300],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -279,6 +284,17 @@ ERROR_TEXT = {
     "family-cyc-zero": "error: Cyc(n) needs n >= 1, got 0\n",
     "family-bad-argument": "error: bad family argument in 'Sym(x)'\n",
     "unknown-group-spec": "error: not a recognized group spec: 'Foo(3)'\n",
+    # a huge radius is refused at the first sphere that passes the cap
+    "ball-radius-20000": "error: tree vertices (radius 16 of 20000) cap exceeded: "
+                         "requested 196606, cap 100000 (raise with --tree-vertex-cap)\n",
+    "ball-radius-999999": "error: tree vertices (radius 16 of 999999) cap exceeded: "
+                          "requested 196606, cap 100000 (raise with --tree-vertex-cap)\n",
+    # sizes of a thousand digits or more print as the power of two below them
+    "ball-order-1850-digits": "error: ball group order cap exceeded: requested over 2^6143, "
+                              "cap 10000000 (raise with --ball-order-cap (or reduce the radius))\n",
+    "tree-vertex-cap-4300-digits": "error: tree vertices (radius 14283 of 20000) cap exceeded: "
+                                   "requested over 2^14284, cap over 2^14284 "
+                                   "(raise with --tree-vertex-cap)\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}

@@ -1,5 +1,6 @@
 """Differential checks against sympy.combinatorics on random groups of
-degree <= 7: the subgroup scans, the chain facts, the stabilizer cache."""
+degree <= 7: the subgroup scans, the chain facts, the stabilizer cache;
+and on the known-order chains of wreath towers with at most 64 leaves."""
 
 import random
 
@@ -9,9 +10,10 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from treeperm.groups import PermGroup  # noqa: E402
-from treeperm.perms import Permutation  # noqa: E402
+from treeperm.groups import PermGroup, parse_group_spec, symmetric  # noqa: E402
+from treeperm.perms import Permutation, _compose  # noqa: E402
 from treeperm.series import prime_factors, sylow_subgroup  # noqa: E402
+from treeperm.wreath import tower_order, wreath_tower  # noqa: E402
 
 SymPerm = combinatorics.Permutation
 SymGroup = combinatorics.PermutationGroup
@@ -95,3 +97,35 @@ def test_point_stabilizer_is_cached(case):
     assert again is first and again.generators == generators
     # a fresh group rebuilds the same stabilizer
     assert PermGroup(n, gens).point_stabilizer(a).generators == generators
+
+
+# every tower W_n(F) with d <= 4 and at most 64 leaves, for these bases
+TOWERS = [(spec, n) for spec, leaves in
+          [("Sym(2)", [2, 4, 8, 16, 32, 64]), ("Sym(3)", [3, 9, 27]), ("Cyc(3)", [3, 9, 27]),
+           ("Klein4", [4, 16, 64]), ("Cyc(4)", [4, 16, 64]), ("Dih(4)", [4, 16, 64]),
+           ("Alt(4)", [4, 16, 64]), ("Sym(4)", [4, 16, 64])]
+          for n, _ in enumerate(leaves, start=1)]
+
+
+def random_word(rng, gens, length=12):
+    g = gens[0].images
+    for _ in range(length):
+        g = _compose(g, rng.choice(gens).images)
+    return g
+
+
+@pytest.mark.parametrize("spec, depth", TOWERS, ids=[f"{s}:{n}" for s, n in TOWERS])
+def test_known_order_tower_chains_match_sympy(spec, depth):
+    F = parse_group_spec(spec)
+    T = wreath_tower(F, depth, verify_order=False).group
+    ambient = wreath_tower(symmetric(F.degree), depth, verify_order=False).group
+    ST = sym(T)
+    # the chain comes from the generators with the order law as its bound
+    assert T._order_bound is not None
+    assert T.order() == ST.order() == tower_order(F.order(), F.degree, depth)
+    rng = random.Random(depth * 100 + F.order())
+    probes = [random_word(rng, T.generators) for _ in range(6)]
+    probes += [random_word(rng, ambient.generators) for _ in range(6)]
+    probes += [tuple(rng.sample(range(T.degree), T.degree)) for _ in range(3)]
+    for p in probes:
+        assert T.chain.contains(p) == ST.contains(SymPerm(list(p)))

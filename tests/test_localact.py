@@ -2,18 +2,20 @@
 
 import hashlib
 import random
+from itertools import zip_longest
 
 import pytest
 
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
-from treeperm.groups import PermGroup, alternating, cyclic, symmetric, trivial
+from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
+                             trivial)
 from treeperm import acceptance
 from treeperm.localact import (Graft, ball_stabilizer_group, defect_set, edge_ball_group,
                                half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
                                random_ball_automorphism)
-from treeperm.perms import Permutation, parse_cycles
+from treeperm.perms import Permutation, _compose, parse_cycles
 from treeperm.treeball import build_ball, legal_coloring
 
 
@@ -213,15 +215,95 @@ def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
     enumerate_leaves = Graft._leaves
 
     def counting_leaves(self, *args, **kwargs):
-        for images in enumerate_leaves(self, *args, **kwargs):
-            leaves.append(images)
-            yield images
+        for leaf, inverse in enumerate_leaves(self, *args, **kwargs):
+            leaves.append(leaf)
+            yield leaf, inverse
 
     monkeypatch.setattr(Graft, "_leaves", counting_leaves)
     B = edge_ball_group(ball(4, 2, "edge"), cyclic(4))
     assert B.type_preserving.order() * 2 == B.order()
     assert len(leaves) == B.enumerated_count == B.order()
     assert len(set(leaves)) == len(leaves)
+
+
+def recursive_leaves(b, F, swap, forced_identity=frozenset()):
+    """The recursive graft enumerator, kept as the oracle of the walk:
+    depth first over the interior vertices in BFS order, panels in the
+    order of F.elements(), children placed as each panel dictates."""
+    elems = F.elements()
+    interior = sorted(b.interior_vertices(), key=lambda v: (b.depth[v], v))
+    images = [None] * b.n_vertices
+    if b.center_kind == "vertex":
+        images[0] = 0
+    else:
+        images[0], images[1] = (1, 0) if swap else (0, 1)
+    ident = Permutation.identity(b.d)
+
+    def choices(v):
+        if b.parent[v] is None:
+            out = elems
+        else:
+            i = b.inward_color(v)
+            j = b.color_of[images[v]][images[b.parent[v]]]
+            out = [sigma for sigma in elems if sigma(i) == j]
+        if v in forced_identity:
+            return [ident] if ident in out else []
+        return out
+
+    def rec(idx):
+        if idx == len(interior):
+            yield tuple(images)
+            return
+        v = interior[idx]
+        for sigma in choices(v):
+            for u in b.children[v]:
+                images[u] = b.nbr_by_color[images[v]][sigma(b.color_of[v][u])]
+            yield from rec(idx + 1)
+
+    yield from rec(0)
+
+
+def half(b, endpoint):
+    """Interior vertices whose root path leads to `endpoint` of the center edge."""
+    def side(v):
+        while v not in (0, 1):
+            v = b.parent[v]
+        return v
+    return frozenset(v for v in b.interior_vertices() if side(v) == endpoint)
+
+
+# every ball group of the benchmark's balls workload: (d, radius, F, center)
+BALL_POOL = [(3, 2, "Sym(3)", "vertex"), (3, 2, "Sym(3)", "edge"), (3, 3, "Cyc(3)", "vertex"),
+             (3, 3, "Cyc(3)", "edge"), (4, 2, "Alt(4)", "vertex"), (4, 2, "Dih(4)", "vertex"),
+             (4, 2, "Cyc(4)", "vertex"), (4, 3, "Klein4", "vertex"),
+             (4, 2, "Klein4", "edge"), (5, 2, "Dih(5)", "vertex"), (5, 2, "Cyc(5)", "vertex"),
+             (5, 1, "Sym(5)", "vertex"), (4, 2, "Dih(4)", "edge"), (5, 1, "Sym(5)", "edge"),
+             (3, 3, "Sym(3)", "vertex"), (5, 2, "Dih(5)", "edge"), (4, 2, "Sym(4)", "vertex"),
+             (4, 2, "Alt(4)", "edge"), (5, 2, "F20", "vertex"), (3, 3, "Sym(3)", "edge")]
+
+
+@pytest.mark.parametrize("d, r, spec, center", BALL_POOL,
+                         ids=[f"d{d}r{r}-{spec}-{c}" for d, r, spec, c in BALL_POOL])
+def test_walk_yields_the_recursive_leaves_with_their_inverses(d, r, spec, center):
+    b = ball(d, r, center)
+    F = parse_group_spec(spec)
+    graft = Graft(b, F)
+    ident = tuple(range(b.n_vertices))
+    branches = [(False, frozenset())]
+    if center == "edge":
+        branches += [(True, frozenset()), (False, half(b, 0)), (False, half(b, 1))]
+    for swap, forced in branches:
+        n = 0
+        for got, expected in zip_longest(graft._leaves(swap, forced),
+                                         recursive_leaves(b, F, swap, forced)):
+            assert got is not None and expected is not None
+            leaf, inverse = got
+            assert leaf == expected
+            assert _compose(leaf, inverse) == ident == _compose(inverse, leaf)
+            n += 1
+        assert n > 0
+        if not forced:
+            assert n == graft.count(swap)
 
 
 def test_radius_zero_and_boundary_freedom():
