@@ -65,6 +65,28 @@ GOLDEN = [
     ("wreath build --base Sym(1) --depth 3", 0, "8789c15ab01c8dc95612bc0743e0e621f275a00b1783edc8f80a134501bcc95a"),
     ("wreath build --base Triv(3) --depth 2", 0, "40d2b988ed9eaf461adc65e3c6ac6f042652768a1cf40f0300fd84f5f595ed7d"),
     ("wreath build --base Sym(3) --depth 0 --square", 0, "a5cae8e774ed0e6fa2c4d06608502822d71c4d775d427da51692b920c3bd2725"),
+    # every other ball group of the benchmark's balls workload, then radius 0
+    # and a trivial local group at both centers
+    ("ball group --d 3 --radius 3 --F Cyc(3)", 0, "f38e1699e3272b72437082725cd4976a50c6fb54e0978bb86fb5b26ccead7639"),
+    ("ball group --d 3 --radius 3 --F Cyc(3) --center edge", 0, "32c339b0671e26554837b29da3516e07b11fcbb7bd3caca58ea24982f45e08b9"),
+    ("ball group --d 4 --radius 2 --F Alt(4)", 0, "13ec7935e7ee7bf41b679b1d5d3f31df438aaca22489864878c2adc0a4c9f399"),
+    ("ball group --d 4 --radius 2 --F Dih(4)", 0, "d8d719f605c370b4337a019d0d99aadaf38d3a596752ae69a6fb37a6c156637b"),
+    ("ball group --d 4 --radius 2 --F Cyc(4)", 0, "5064477f9ed2707cce4c01222424d98719529fcadcd99a6da617ae6154223b4e"),
+    ("ball group --d 4 --radius 3 --F Klein4", 0, "8b1071ff728488d88081a3fcda86b91b6a9173faba93a23a6e8cb72952212ea2"),
+    ("ball group --d 4 --radius 2 --F Klein4 --center edge", 0, "bd4a3f926479afb5eaced075f3977c1ad8007c35968f9e365d2b07a945eeede5"),
+    ("ball group --d 5 --radius 2 --F Dih(5)", 0, "69140fca7971c019547fbf2e2571c0683f018df950b67633b35f5d7263876f6a"),
+    ("ball group --d 5 --radius 2 --F Cyc(5)", 0, "6d80645ea4d5af47a11bbd43b72b9515d9e6ff8c732534755724d4e1ccc918bd"),
+    ("ball group --d 5 --radius 1 --F Sym(5)", 0, "a44e1b45295f1bab50e41c0617ff38bcd0c29aa68fdd24cfb1d144880a9f1970"),
+    ("ball group --d 3 --radius 3 --F Sym(3)", 0, "b54bfdbce1624e93023b39d449b26b06d4deed8f711353386e98a018b9da8fc4"),
+    ("ball group --d 5 --radius 2 --F Dih(5) --center edge", 0, "04a7d5f0b908f50b1ff28701374d2e338225d49a9d44c00326b7da20c4a7dacf"),
+    ("ball group --d 4 --radius 2 --F Sym(4)", 0, "6d4a91def888b74a4f4e6253b250a4887dfae67cb147c355d0363b19a5d2dcad"),
+    ("ball group --d 4 --radius 2 --F Alt(4) --center edge", 0, "33148acbf4b833e7e5592be5c996d7736aa641fad9334a2d3a0b2be8205ba3b4"),
+    ("ball group --d 5 --radius 2 --F F20", 0, "550b6b87dfef65273836903e89654a0f46ac835235509f9b5f4e9809ffc29122"),
+    ("ball group --d 3 --radius 3 --F Sym(3) --center edge", 0, "8f8768dffa013be6700253cf95fc7e6b604ba08b57f482e012a3dd3b7b4b0398"),
+    ("ball group --d 3 --radius 0 --F Sym(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
+    ("ball group --d 3 --radius 0 --F Sym(3) --center edge", 0, "6d2247c51e28fecfe303f68e2fc75d346c51948553daee8f54b21331f8186669"),
+    ("ball group --d 3 --radius 2 --F Triv(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
+    ("ball group --d 3 --radius 2 --F Triv(3) --center edge", 0, "48e6f87786c3d370cc7861b619a5123b4703db9c0f46878a6c58ebbcb832f8ba"),
 ]
 
 
