@@ -251,7 +251,10 @@ def criterion_09_survey(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) -> 
 
 def _no_cocompact_corpus(caps: Caps) -> list[PermGroup]:
     ball = legal_coloring(build_ball(3, 2, "vertex", caps))
-    ball_group = ball_stabilizer_group(ball, symmetric(3), caps).group
+    graft = Graft(ball, symmetric(3), caps)
+    graft._check_caps(graft.count())
+    # sifting every leaf keeps the chain that the pinned detail string was drawn on
+    ball_group = PermGroup.from_elements(ball.n_vertices, graft._leaves(False))
     # S3 x S2 on 3+2 points: point stabilizers contain whole normal factors
     s3xs2 = PermGroup(5, [Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 0, 3, 4)),
                           Permutation((0, 1, 2, 4, 3))])

@@ -92,6 +92,10 @@ class StabilizerChain:
     def base(self) -> list[int]:
         return [lev.point for lev in self.levels]
 
+    def strong_generators(self) -> list[Raw]:
+        """The strong generators of every level, each once, top level first."""
+        return list(dict.fromkeys(g for lev in self.levels for g in lev.gens))
+
     def contains(self, g: Raw) -> bool:
         h, i = self._strip(g, 0)
         return i == len(self.levels) and h == self.ident
@@ -222,8 +226,8 @@ class StabilizerChain:
                 return j
 
 
-def reduce_generators(degree: int, elements: Iterable, order: int | None = None,
-                      with_inverses: bool = False) -> tuple[list[Raw], StabilizerChain]:
+def reduce_generators(degree: int, elements: Iterable[Raw],
+                      order: int | None = None) -> tuple[list[Raw], StabilizerChain]:
     """Sift-reduce: keep only elements that grow the group so far.
 
     Returns the kept generators and the chain of the generated group.
@@ -235,30 +239,10 @@ def reduce_generators(degree: int, elements: Iterable, order: int | None = None,
     later element could grow it: the kept list and the chain are those
     of a full pass.  A chain that ends at any other order raises
     AssertionError, which checks the count against the chain.
-
-    With `with_inverses`, `elements` yields (g, g^-1) pairs.  Each pair
-    must compose to the identity, which proves g a bijection and g^-1
-    its inverse; AssertionError otherwise.  Every element before g lies
-    in the group H of the chain so far, so g is in H exactly when the
-    step prev^-1 g from the previous element prev is.  That step is
-    sifted first, and only a step that does not sift to the identity
-    sends g itself through `add_generator`: the kept list and the chain
-    are those of the plain pass.  A walk whose neighbours differ on few
-    points, such as the graft leaves, sifts each step in a few composes.
     """
     chain = StabilizerChain(degree)
     kept: list[Raw] = []
-    prev_inv = None
-    for index, g in enumerate(elements):
-        if with_inverses:
-            g, g_inv = g
-            if _compose(g, g_inv) != chain.ident:
-                raise AssertionError(f"element {index} and its given inverse "
-                                     "do not compose to the identity")
-            step_sifts = prev_inv is not None and chain.contains(_compose(prev_inv, g))
-            prev_inv = g_inv
-            if step_sifts:
-                continue
+    for g in elements:
         if chain.add_generator(g):
             kept.append(g)
             if chain.order() == order:

@@ -9,12 +9,7 @@ Centralizers, intersections and normal cores are element scans on raw
 image tuples.  A scan has counted its subgroup exactly, so it passes
 the count to `from_elements` as the proved order: sifting stops once
 the chain reaches it, and a chain that ends elsewhere raises.  Point
-stabilizers stop at |G| / |orbit| and are cached per point.  The graft
-enumeration in `localact` passes no order: there the leaf count is the
-independent check against the chain order, and must not also be its
-stopping rule.  It passes every leaf with its inverse instead: each pair
-is checked to compose to the identity, and each leaf is sifted as one
-step from the leaf before, which differs from it only low in the ball.
+stabilizers stop at |G| / |orbit| and are cached per point.
 """
 
 from __future__ import annotations
@@ -58,17 +53,15 @@ class PermGroup:
         self._order_bound: Callable[[list[tuple]], int] | None = None
 
     @classmethod
-    def from_elements(cls, degree: int, elements: Iterable,
-                      order: int | None = None, with_inverses: bool = False) -> "PermGroup":
+    def from_elements(cls, degree: int, elements: Iterable[tuple],
+                      order: int | None = None) -> "PermGroup":
         """Group generated by image tuples, keeping only those that grow it.
 
         The sift chain built on the way becomes the group's chain.  A
         proved `order` stops the sifting once the chain reaches it and
-        is checked against the chain; with `with_inverses` the elements
-        come as checked (g, g^-1) pairs and each is sifted as a step
-        from the one before (see `reduce_generators`).
+        is checked against the chain.
         """
-        kept, chain = reduce_generators(degree, elements, order, with_inverses)
+        kept, chain = reduce_generators(degree, elements, order)
         group = cls(degree, [Permutation(t) for t in kept])
         group._chain = chain
         return group

@@ -3,29 +3,30 @@
 A ball automorphism is a permutation of the ball's vertices preserving
 adjacency and the center.  At an interior vertex v with interior image
 the local action is the color permutation sigma(g, v) = c_{g(v)} o g o
-c_v^{-1}.  Groups with prescribed panels are generated by breadth-first
-grafting: choose a panel at the center, then per vertex a panel from
-the coset compatible with the inherited inward color; the graft count
-and the BSGS order of the generated group certify each other.
+c_v^{-1}.  Automorphisms with panels in F are grafted one vertex at a
+time (Burger-Mozes): any panel of F at a vertex center, elsewhere one
+from the coset of F sending the inward color to the inherited one.
 
-The leaves are walked depth first on raw image tuples, each with its
-inverse kept up to date as the children are placed.  Every leaf is
-proved a bijection by composing it with that inverse, and is sifted as
-the step from the leaf before it, which moves only the vertices below
-the last panels changed (see `bsgs.reduce_generators`).
+A ball group is generated by the strong generators of each interior
+vertex's panel group (F at a vertex center, else the stabilizer in F of
+the inward color), each completed below the vertex by first panels.
+The generators are checked to lie in the graft set, so the graft count
+bounds the group order and the chain is built up to it.  The leaves
+are walked depth first and only counted, to check the chain order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from .bsgs import StabilizerChain
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation, _invert
-from .treeball import TreeBall
+from .perms import Permutation
+from .treeball import TreeBall, is_legal
 
 
 # -- single-automorphism operations -----------------------------------------
@@ -116,6 +117,7 @@ class Graft:
         self.ball = ball
         self.F = F
         self.caps = caps
+        self.legal = is_legal(ball)[0]
         self.elems = [sigma.images for sigma in F.elements(caps)]
         self.plan: list[tuple] = []
         for v in sorted(ball.interior_vertices(), key=lambda v: (ball.depth[v], v)):
@@ -131,18 +133,21 @@ class Graft:
             self.plan.append((v, parent, children, colors, cosets))
 
     def count(self, swap: bool = False) -> int:
-        """Exact graft count: product of per-vertex compatible-coset sizes.
+        """Graft count: product of per-vertex compatible-coset sizes.
 
         For a vertex center: |F| times the product of |F_{inward color}|
-        over interior non-center vertices (transition cosets all have
-        stabilizer size since inherited colors stay in the F-orbit).  For
-        an edge center, both endpoints contribute constrained factors; with
-        `swap` the count is for endpoint-swapping assignments.
+        over interior non-center vertices.  It is exact for a legal
+        coloring, where inherited colors stay in the F-orbit.  For an edge
+        center, both endpoints contribute constrained factors; with `swap`
+        the count is for endpoint-swapping assignments.
         """
-        images = self._roots(swap)
+        return self._first_panels(self._roots(swap), self.plan)
+
+    def _first_panels(self, images: list[int | None], steps: Sequence[tuple]) -> int:
+        """Place the first allowed panel at each step; return the product of
+        the panel counts (they do not depend on the panels), 0 at a dead end."""
         total = 1
-        # sizes are choice-independent, so one sweep with any concrete panels works
-        for step in self.plan:
+        for step in steps:
             panels = self._panels(step, images)
             total *= len(panels)
             if total == 0:
@@ -175,24 +180,18 @@ class Graft:
             images[u] = nbr[sigma[c]]
 
     def _leaves(self, swap: bool, forced_identity: frozenset[int] = frozenset()):
-        """Yield (leaf, inverse) image tuples of all panel-compatible automorphisms.
+        """Yield the image tuples of all panel-compatible automorphisms.
 
         Depth first over the plan, panels in F order, on one explicit
         stack: `options[k]` holds the panels allowed at step k and
-        `tried[k]` how many of them were placed.  Every child assignment
-        images[u] = x also sets inv[x] = u, so `inv` is the leaf's inverse
-        whenever the leaf is a bijection; `reduce_generators` checks that.
+        `tried[k]` how many of them were placed.
         """
         plan = self.plan
         nbr_by_color = self.ball.nbr_by_color
         images = self._roots(swap)
-        inv = [0] * len(images)
-        for v, x in enumerate(images):
-            if x is not None:
-                inv[x] = v
         last = len(plan) - 1
         if last < 0:
-            yield tuple(images), tuple(inv)
+            yield tuple(images)
             return
         ident = tuple(range(self.ball.d))
 
@@ -216,15 +215,54 @@ class Graft:
             v, _, children, colors, _ = plan[k]
             nbr = nbr_by_color[images[v]]
             for u, col in zip(children, colors):
-                x = nbr[sigma[col]]
-                images[u] = x
-                inv[x] = u
+                images[u] = nbr[sigma[col]]
             if k == last:
-                yield tuple(images), tuple(inv)
+                yield tuple(images)
             else:
                 k += 1
                 options[k] = allowed(k)
                 tried[k] = 0
+
+    def _generators(self) -> list[tuple[int, tuple]]:
+        """(site, generator) pairs of the endpoint-fixing group, in plan order:
+        sigma at v, then the first allowed panel at every later step, which is
+        the identity (least in F) outside v's cone.  Only a legal coloring gives
+        the graft set this structure, so an illegal one gets no generators.
+        """
+        out = []
+        for k, step in enumerate(self.plan if self.legal else ()):
+            v, parent = step[0], step[1]
+            H = self.F if parent is None else self.F.point_stabilizer(self.ball.color_of[v][parent])
+            for sigma in H.chain.strong_generators():
+                images = list(range(self.ball.n_vertices))
+                self._place(step, sigma, images)
+                self._first_panels(images, self.plan[k + 1:])
+                out.append((v, tuple(images)))
+        return out
+
+    def _group(self, gens: list[tuple], bound: int, leaves: Iterable[tuple],
+               fixed: Sequence[int] = ()) -> PermGroup:
+        """The group of `gens`, with its chain built up to the proved order `bound`.
+
+        Each generator must be a ball automorphism with its local actions
+        in F, fixing `fixed`: then the group lies in the graft set that
+        `bound` counts, so a chain reaching it is complete; any other
+        order raises AssertionError.  An illegal coloring sifts `leaves`.
+        """
+        if not self.legal:
+            return PermGroup.from_elements(self.ball.n_vertices, leaves)
+        group = PermGroup(self.ball.n_vertices, [Permutation(g) for g in gens])
+        for g in group.generators:
+            if not (is_ball_automorphism(self.ball, g) and in_Uc(self.ball, g, self.F)) \
+                    or any(g(v) != v for v in fixed):
+                raise AssertionError(f"ball generator {g.cycle_string()} is not "
+                                     f"in the graft set of {self.F.name or 'F'}")
+        group._chain = StabilizerChain.up_to_order(
+            group.degree, [g.images for g in group.generators], bound)
+        if group.order() != bound:
+            raise AssertionError(f"ball group order {group.order()} "
+                                 f"is not its graft count {bound}")
+        return group
 
     def _check_caps(self, predicted: int) -> None:
         if predicted > self.caps.ball_order_cap:
@@ -235,31 +273,13 @@ class Graft:
                                      self.ball.n_vertices,
                                      "--ball-vertex-cap (or reduce the radius)")
 
-    def _generate(self, swap: bool, forced_identity: frozenset[int] = frozenset(),
-                  base: PermGroup | None = None) -> tuple[PermGroup, int]:
-        """Enumerate one swap-branch after `base`'s generators; build a reduced
-        generator set on the fly and certify chain order == base order + graft count.
 
-        A generator that does not grow the chain leaves it untouched, so
-        continuing from `base`'s kept generators keeps exactly the
-        generators one pass over both branches would keep.
-        """
-        count = 0
-
-        def counted():
-            nonlocal count
-            if base is not None:
-                yield from ((g.images, _invert(g.images)) for g in base.generators)
-            for pair in self._leaves(swap, forced_identity):
-                count += 1
-                yield pair
-
-        group = PermGroup.from_elements(self.ball.n_vertices, counted(), with_inverses=True)
-        expected = count + (base.order() if base is not None else 0)
-        if group.order() != expected:
-            raise AssertionError(
-                f"graft count {expected} disagrees with BSGS order {group.order()}")
-        return group, count
+def _check_walk(group: PermGroup, leaves: Iterable[tuple], before: int = 0) -> int:
+    """Count the leaves after `before` earlier ones: the chain order."""
+    count = before + sum(1 for _ in leaves)
+    if group.order() != count:
+        raise AssertionError(f"graft count {count} disagrees with BSGS order {group.order()}")
+    return count
 
 
 @dataclass
@@ -287,7 +307,8 @@ def ball_stabilizer_group(ball: TreeBall, F: PermGroup,
     graft = Graft(ball, F, caps)
     formula = graft.count()
     graft._check_caps(formula)
-    group, count = graft._generate(False)
+    group = graft._group([g for _, g in graft._generators()], formula, graft._leaves(False))
+    count = _check_walk(group, graft._leaves(False))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=formula)
 
@@ -296,18 +317,22 @@ def edge_ball_group(ball: TreeBall, F: PermGroup,
                     caps: Caps = DEFAULT_CAPS) -> BallGroup:
     """Center-edge-preserving automorphisms, endpoint swaps included.
 
-    The endpoint-fixing branch is generated first and kept as
-    `type_preserving`; the swap branch continues from its generators.
+    The endpoint-fixing subgroup, kept as `type_preserving`, drops the
+    swap from the generators.
     """
     if ball.center_kind != "edge":
         raise InputError("edge_ball_group expects an edge-centered ball")
     graft = Graft(ball, F, caps)
     fixing, swapping = graft.count(swap=False), graft.count(swap=True)
     graft._check_caps(fixing + swapping)
-    tp, fixing_leaves = graft._generate(False)
-    group, swap_leaves = graft._generate(True, base=tp)
-    return BallGroup(graft=graft, group=group,
-                     enumerated_count=fixing_leaves + swap_leaves,
+    gens = [g for _, g in graft._generators()]
+    tp = graft._group(gens, fixing, graft._leaves(False), fixed=(0,))
+    swap = graft._roots(True)
+    graft._first_panels(swap, graft.plan)  # a legal coloring always has one
+    group = graft._group(gens + [tuple(swap)], fixing + swapping,
+                         (leaf for branch in (False, True) for leaf in graft._leaves(branch)))
+    count = _check_walk(group, graft._leaves(True), _check_walk(tp, graft._leaves(False)))
+    return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=fixing + swapping, fixing_count=fixing,
                      swap_count=swapping, type_preserving=tp)
 
@@ -316,42 +341,36 @@ def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
     """Pointwise stabilizers of each half of an edge-centered ball.
 
     The half containing endpoint 0 is everything whose root path leads
-    to 0; the returned pair is (fixes half of 0, fixes half of 1).
+    to 0; the returned pair is (fixes half of 0, fixes half of 1).  Each is
+    generated on the other half, bounded by its identity-on-its-half leaves.
     """
     ball = B.graft.ball
     if ball.center_kind != "edge":
         raise InputError("half-ball stabilizers expect an edge-centered ball")
-
-    def side(v: int) -> int:
-        while v not in (0, 1):
-            v = ball.parent[v]
-        return v
-
+    side = [0, 1] + [0] * (ball.n_vertices - 2)
+    for v in range(2, ball.n_vertices):  # parents come first
+        side[v] = side[ball.parent[v]]
+    sited = B.graft._generators()
     out = []
     for fixed_endpoint in (0, 1):
-        forced = frozenset(v for v in ball.interior_vertices() if side(v) == fixed_endpoint)
-        group, _ = B.graft._generate(False, forced_identity=forced)
-        out.append(group)
+        half = frozenset(v for v in range(ball.n_vertices) if side[v] == fixed_endpoint)
+        bound = sum(1 for _ in B.graft._leaves(False, half))
+        gens = [g for v, g in sited if side[v] != fixed_endpoint]
+        out.append(B.graft._group(gens, bound, B.graft._leaves(False, half), fixed=half))
     return out[0], out[1]
 
 
 # -- random sampling -----------------------------------------------------------
 
-def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = False,
-                             defect_panels: dict[int, PermGroup] | None = None
+def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = False
                              ) -> Permutation:
     """Uniform element of the graft's panel-constrained group (product measure).
 
-    `defect_panels` overrides the allowed local group at chosen interior
-    vertices (e.g. F' at one vertex to force a defect); an empty
-    compatible coset raises InputError naming the vertex.
+    An empty compatible coset raises InputError naming the vertex.
     """
-    grafts = {v: Graft(graft.ball, H, graft.caps)
-              for v, H in (defect_panels or {}).items()}
     images = graft._roots(swap)
-    for k, step in enumerate(graft.plan):
-        source = grafts.get(step[0], graft)
-        panels = source._panels(source.plan[k], images)
+    for step in graft.plan:
+        panels = graft._panels(step, images)
         if not panels:
             raise InputError(f"no compatible panel at vertex {step[0]}")
         graft._place(step, panels[rng.randrange(len(panels))], images)

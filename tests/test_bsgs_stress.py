@@ -165,11 +165,9 @@ def _check_bounded_against_full_pass(monkeypatch) -> list:
     compare; returns the list of orders the callers passed."""
     orders = []
 
-    def both_ways(degree, elements, order=None, with_inverses=False):
+    def both_ways(degree, elements, order=None):
         elements = list(elements)
-        kept, chain = reduce_generators(degree, elements, order, with_inverses)
-        if with_inverses:
-            elements = [g for g, _ in elements]
+        kept, chain = reduce_generators(degree, elements, order)
         full_kept, full_chain = reduce_generators(degree, elements)
         assert kept == full_kept
         assert chain.base() == full_chain.base()
@@ -227,64 +225,16 @@ def test_bounded_sift_raises_unless_the_chain_ends_at_its_order():
     assert kept == elems[1:] and chain.order() == 6
 
 
-def _chain_facts(chain):
-    return chain.base(), [lev.orbit for lev in chain.levels], [lev.gens for lev in chain.levels]
-
-
-def test_step_sift_keeps_what_the_plain_sift_keeps():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    perms = lambda n: st.permutations(range(n)).map(tuple)
-    # generators, then a walk that multiplies by one of them per step
-    cases = st.integers(2, 7).flatmap(lambda n: st.tuples(
-        st.lists(perms(n), min_size=1, max_size=3),
-        st.lists(st.integers(0, 2), min_size=1, max_size=60)))
-
-    @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(cases)
-    def check(case):
-        gens, moves = case
-        walk = [tuple(range(len(gens[0])))]
-        for m in moves:
-            walk.append(_compose(walk[-1], gens[m % len(gens)]))
-        kept, chain = reduce_generators(len(walk[0]), [(g, _invert(g)) for g in walk],
-                                        with_inverses=True)
-        full_kept, full_chain = reduce_generators(len(walk[0]), walk)
-        assert kept == full_kept
-        assert _chain_facts(chain) == _chain_facts(full_chain)
-
-    check()
-
-
-def test_step_sift_grows_the_chain_at_a_late_non_member():
-    # a walk over Alt(4), then one transposition: only its own sift keeps it
-    walk = [g.images for g in groups.alternating(4).elements()]
-    odd = parse_cycles("(3 4)", 4).images
-    pairs = [(g, _invert(g)) for g in walk + [odd]]
-    kept, chain = reduce_generators(4, pairs, with_inverses=True)
-    assert chain.order() == 24 and kept[-1] == odd
-    assert kept == reduce_generators(4, walk + [odd])[0]
-
-
-def test_step_sift_refuses_a_wrong_inverse():
-    g, h = parse_cycles("(1 2 3)", 3).images, parse_cycles("(1 2)", 3).images
-    with pytest.raises(AssertionError, match="element 1 and its given inverse"):
-        reduce_generators(3, [(h, h), (g, g)], with_inverses=True)
-    # a non-bijection has no inverse to pass the check
-    with pytest.raises(AssertionError, match="element 0 and its given inverse"):
-        reduce_generators(3, [((0, 0, 2), (0, 1, 2))], with_inverses=True)
-
-
 def test_graft_count_still_checks_the_chain(monkeypatch):
-    # graft enumeration passes no order: the leaf count stays the
-    # independent check, so one leaf too many is caught
+    # the leaf walk only counts: its count stays the independent check of
+    # the chain built up to the graft formula, so one leaf too many is caught
     leaves = Graft._leaves
 
     def with_spurious_leaf(self, *args, **kwargs):
         first = None
-        for leaf_and_inverse in leaves(self, *args, **kwargs):
-            first = first or leaf_and_inverse
-            yield leaf_and_inverse
+        for leaf in leaves(self, *args, **kwargs):
+            first = first or leaf
+            yield leaf
         yield first
 
     monkeypatch.setattr(Graft, "_leaves", with_spurious_leaf)

@@ -21,10 +21,10 @@ GOLDEN = [
     ("wreath build --base Alt(4) --depth 2 --sylow 2", 0, "6db77dc6bb779ac6a2bcbddf34e8495151051cc670cc1b4f1c2faeb23eba8cc9"),
     ("wreath build --base Sym(2) --depth 3 --square", 0, "755765f08fd503b42a528ce69d972684370523489b7236be7848bb23f70cbf99"),
     ("tree ball --d 3 --radius 2", 0, "ccea35dbc259da0be88a4bd71512e83fd508fc27157874f7e170134e6397d80a"),
-    ("ball group --d 3 --radius 2 --F Sym(3)", 0, "df56b10d56cd63979d55f4ddb3977b4ff80488a20569dca161fda3a1c39262eb"),
-    ("ball group --d 3 --radius 2 --F Sym(3) --center edge", 0, "aa56cdb7686a1dd4cdd5385c5200544a5577bde63584c8d9f5811ea592b40507"),
-    ("ball group --d 4 --radius 2 --F Dih(4) --center edge", 0, "cf37641d7e481b264c2c322d72e60df99650302956049863c4924b16b1b76cb3"),
-    ("ball group --d 5 --radius 1 --F Sym(5) --center edge", 0, "f47fc5d6f3b9475d9ec839cb6a8ad2ad42d4e6ad8d2fd65d740349fed18b8f0d"),
+    ("ball group --d 3 --radius 2 --F Sym(3)", 0, "b6cf1deac87dd7387dba585e6e4e235198b1d001389d61519fa1b3355f7c955c"),
+    ("ball group --d 3 --radius 2 --F Sym(3) --center edge", 0, "d295fe6c6521631d1109249c6df849d06b694f748e0dd07f90e102babd394ed0"),
+    ("ball group --d 4 --radius 2 --F Dih(4) --center edge", 0, "3d0f3ed87d0792455963dc2b02b09acbe5625d3975ad9195241c89f49b78678d"),
+    ("ball group --d 5 --radius 1 --F Sym(5) --center edge", 0, "d500df15dc60b3123115858fe57277b6a5af46eae4c9ef48d124c4c0348e7c17"),
     ("tate verify --group Sym(5) --p 2", 0, "98ffa73958e292ae6f041df989520d1533b575a9b03089df870a77bb614e6564"),
     ("tate verify --group Alt(5) --p 5", 0, "65a5ee3d44a735f29f1fbafa330c812faedbd42ac2ed39b4cdd01fa00ec70516"),
     ("series op --group Sym(5) --kind sylow --p 2", 0, "d3b310c5ab9eeade7d2281084a36e62dd2de7feae22b814cee3bc0e6e33920e7"),
@@ -69,20 +69,20 @@ GOLDEN = [
     # and a trivial local group at both centers
     ("ball group --d 3 --radius 3 --F Cyc(3)", 0, "f38e1699e3272b72437082725cd4976a50c6fb54e0978bb86fb5b26ccead7639"),
     ("ball group --d 3 --radius 3 --F Cyc(3) --center edge", 0, "32c339b0671e26554837b29da3516e07b11fcbb7bd3caca58ea24982f45e08b9"),
-    ("ball group --d 4 --radius 2 --F Alt(4)", 0, "13ec7935e7ee7bf41b679b1d5d3f31df438aaca22489864878c2adc0a4c9f399"),
-    ("ball group --d 4 --radius 2 --F Dih(4)", 0, "d8d719f605c370b4337a019d0d99aadaf38d3a596752ae69a6fb37a6c156637b"),
+    ("ball group --d 4 --radius 2 --F Alt(4)", 0, "c02d4decefe2f34b175928bd5b12ac4c4443570016e4f4fff359d2721699ef4e"),
+    ("ball group --d 4 --radius 2 --F Dih(4)", 0, "98a921b1d83016c89199c75e29e5c5fdd298e78821542f240729ac6200722923"),
     ("ball group --d 4 --radius 2 --F Cyc(4)", 0, "5064477f9ed2707cce4c01222424d98719529fcadcd99a6da617ae6154223b4e"),
     ("ball group --d 4 --radius 3 --F Klein4", 0, "8b1071ff728488d88081a3fcda86b91b6a9173faba93a23a6e8cb72952212ea2"),
     ("ball group --d 4 --radius 2 --F Klein4 --center edge", 0, "bd4a3f926479afb5eaced075f3977c1ad8007c35968f9e365d2b07a945eeede5"),
-    ("ball group --d 5 --radius 2 --F Dih(5)", 0, "69140fca7971c019547fbf2e2571c0683f018df950b67633b35f5d7263876f6a"),
+    ("ball group --d 5 --radius 2 --F Dih(5)", 0, "5cba4de4d12121572d0ebcf69a8bba24a4c7f399ea8decb5973bf498e21a3ec4"),
     ("ball group --d 5 --radius 2 --F Cyc(5)", 0, "6d80645ea4d5af47a11bbd43b72b9515d9e6ff8c732534755724d4e1ccc918bd"),
-    ("ball group --d 5 --radius 1 --F Sym(5)", 0, "a44e1b45295f1bab50e41c0617ff38bcd0c29aa68fdd24cfb1d144880a9f1970"),
-    ("ball group --d 3 --radius 3 --F Sym(3)", 0, "b54bfdbce1624e93023b39d449b26b06d4deed8f711353386e98a018b9da8fc4"),
-    ("ball group --d 5 --radius 2 --F Dih(5) --center edge", 0, "04a7d5f0b908f50b1ff28701374d2e338225d49a9d44c00326b7da20c4a7dacf"),
-    ("ball group --d 4 --radius 2 --F Sym(4)", 0, "6d4a91def888b74a4f4e6253b250a4887dfae67cb147c355d0363b19a5d2dcad"),
-    ("ball group --d 4 --radius 2 --F Alt(4) --center edge", 0, "33148acbf4b833e7e5592be5c996d7736aa641fad9334a2d3a0b2be8205ba3b4"),
-    ("ball group --d 5 --radius 2 --F F20", 0, "550b6b87dfef65273836903e89654a0f46ac835235509f9b5f4e9809ffc29122"),
-    ("ball group --d 3 --radius 3 --F Sym(3) --center edge", 0, "8f8768dffa013be6700253cf95fc7e6b604ba08b57f482e012a3dd3b7b4b0398"),
+    ("ball group --d 5 --radius 1 --F Sym(5)", 0, "dad68e50d76cc19cb6593660c440ff5426faa84702a575e6a382f5209f673f61"),
+    ("ball group --d 3 --radius 3 --F Sym(3)", 0, "79e63616bd305892e3c0a8a96d858c9826da77905fbb7731f9adfadb68a67f55"),
+    ("ball group --d 5 --radius 2 --F Dih(5) --center edge", 0, "623d0f336247681422ce1f3d39e62534f415cb4c69c37cf6b49a195585d8a0b1"),
+    ("ball group --d 4 --radius 2 --F Sym(4)", 0, "e7ff2de37a1053b5d547879d4458ecb5ad430c1ca5f1c079cf82739182a0d716"),
+    ("ball group --d 4 --radius 2 --F Alt(4) --center edge", 0, "d34ff6866f7905c4f4613aa280bcd5aec5ed11747c85f02edfac60bc08997e34"),
+    ("ball group --d 5 --radius 2 --F F20", 0, "f5f7f53879e254731dc8bd1b516bc365f2dd16fb2daee4414f02cfa6ee717902"),
+    ("ball group --d 3 --radius 3 --F Sym(3) --center edge", 0, "d81138f7b99057fbeffffe1af44de714a1f615d8410b37c7756f46da248e1944"),
     ("ball group --d 3 --radius 0 --F Sym(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
     ("ball group --d 3 --radius 0 --F Sym(3) --center edge", 0, "6d2247c51e28fecfe303f68e2fc75d346c51948553daee8f54b21331f8186669"),
     ("ball group --d 3 --radius 2 --F Triv(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
@@ -114,6 +114,10 @@ REFUSALS = [
     (BALL_R3 + " --center edge --ball-vertex-cap 10",
      "error: ball vertices cap exceeded: requested 30, cap 10 "
      "(raise with --ball-vertex-cap (or reduce the radius))\n"),
+    # the default cap refuses before any generator or leaf is built
+    ("ball group --d 3 --radius 4 --F Sym(3)",
+     "error: ball group order cap exceeded: requested 12582912, cap 10000000 "
+     "(raise with --ball-order-cap (or reduce the radius))\n"),
 ]
 
 

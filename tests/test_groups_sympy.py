@@ -1,6 +1,7 @@
 """Differential checks against sympy.combinatorics on random groups of
 degree <= 7: the subgroup scans, the chain facts, the stabilizer cache;
-and on the known-order chains of wreath towers with at most 64 leaves."""
+on the known-order chains of wreath towers with at most 64 leaves; and
+on the structural chains of the ball groups of the benchmark's pool."""
 
 import random
 
@@ -10,9 +11,13 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from test_localact import BALL_POOL  # noqa: E402
 from treeperm.groups import PermGroup, parse_group_spec, symmetric  # noqa: E402
+from treeperm.localact import (Graft, ball_stabilizer_group, edge_ball_group,  # noqa: E402
+                               half_ball_rigid_stabilizers)
 from treeperm.perms import Permutation, _compose  # noqa: E402
 from treeperm.series import prime_factors, sylow_subgroup  # noqa: E402
+from treeperm.treeball import build_ball, legal_coloring  # noqa: E402
 from treeperm.wreath import tower_order, wreath_tower  # noqa: E402
 
 SymPerm = combinatorics.Permutation
@@ -129,3 +134,27 @@ def test_known_order_tower_chains_match_sympy(spec, depth):
     probes += [tuple(rng.sample(range(T.degree), T.degree)) for _ in range(3)]
     for p in probes:
         assert T.chain.contains(p) == ST.contains(SymPerm(list(p)))
+
+
+@pytest.mark.parametrize("d, r, spec, center", BALL_POOL,
+                         ids=[f"d{d}r{r}-{spec}-{c}" for d, r, spec, c in BALL_POOL])
+def test_structural_ball_chains_match_sympy(d, r, spec, center):
+    b = legal_coloring(build_ball(d, r, center))
+    if center == "vertex":
+        B = ball_stabilizer_group(b, parse_group_spec(spec))
+        chains = [B.group]
+    else:
+        B = edge_ball_group(b, parse_group_spec(spec))
+        chains = [B.group, B.type_preserving, *half_ball_rigid_stabilizers(B)]
+    # probes: words in the group, in the structural generators of the
+    # endpoint-fixing Sym(d) ball group around it, and shuffles of the vertices
+    around = [Permutation(g) for _, g in Graft(b, symmetric(d))._generators()]
+    rng = random.Random(d * 100 + r * 10 + len(spec))
+    for G in chains:
+        SG = sym(G)
+        assert G.order() == SG.order()
+        probes = [random_word(rng, G.generators) for _ in range(4)] if G.generators else []
+        probes += [random_word(rng, around) for _ in range(6)]
+        probes += [tuple(rng.sample(range(G.degree), G.degree)) for _ in range(2)]
+        for p in probes:
+            assert G.chain.contains(p) == SG.contains(SymPerm(list(p)))

@@ -2,10 +2,11 @@
 
 import hashlib
 import random
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import pytest
 
+from treeperm.bsgs import StabilizerChain
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
@@ -15,7 +16,7 @@ from treeperm.localact import (Graft, ball_stabilizer_group, defect_set, edge_ba
                                half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
                                random_ball_automorphism)
-from treeperm.perms import Permutation, _compose, parse_cycles
+from treeperm.perms import Permutation, _compose, _invert, parse_cycles
 from treeperm.treeball import build_ball, legal_coloring
 
 
@@ -134,13 +135,27 @@ def test_identity_has_empty_defect_set():
     assert report.defects == [] and report.violations == []
 
 
+def random_defect_automorphism(graft, defect_grafts, rng, swap=False):
+    """Product-measure sample of `graft`, except that the panel at each
+    vertex of `defect_grafts` comes from that vertex's own graft (over a
+    larger F', to force a defect there)."""
+    images = graft._roots(swap)
+    for k, step in enumerate(graft.plan):
+        source = defect_grafts.get(step[0], graft)
+        panels = source._panels(source.plan[k], images)
+        assert panels, f"no compatible panel at vertex {step[0]}"
+        graft._place(step, panels[rng.randrange(len(panels))], images)
+    return Permutation(images)
+
+
 def test_random_defect_grafting():
     b = ball(3, 2)
     rng = random.Random(5)
     graft = Graft(b, alternating(3))
+    defects = {2: Graft(b, symmetric(3))}
     hits = 0
     for _ in range(50):
-        g = random_ball_automorphism(graft, rng, defect_panels={2: symmetric(3)})
+        g = random_defect_automorphism(graft, defects, rng)
         report = defect_set(b, g, alternating(3), symmetric(3))
         assert report.violations == []
         assert set(report.defects) <= {2}
@@ -160,8 +175,12 @@ def test_seeded_samples_are_pinned():
     digest = hashlib.sha256()
     for b, F, swap, defects in configs:
         graft = Graft(b, F)
+        defect_grafts = {v: Graft(b, H) for v, H in (defects or {}).items()}
         for _ in range(10):
-            g = random_ball_automorphism(graft, rng, swap=swap, defect_panels=defects)
+            if defects:
+                g = random_defect_automorphism(graft, defect_grafts, rng, swap)
+            else:
+                g = random_ball_automorphism(graft, rng, swap=swap)
             digest.update(repr(g.images).encode())
     assert digest.hexdigest() == \
         "a5d5088ec23881877a01c7ecb27b77329e4aa966fa67178acac108078d6ca5fc"
@@ -215,9 +234,9 @@ def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
     enumerate_leaves = Graft._leaves
 
     def counting_leaves(self, *args, **kwargs):
-        for leaf, inverse in enumerate_leaves(self, *args, **kwargs):
+        for leaf in enumerate_leaves(self, *args, **kwargs):
             leaves.append(leaf)
-            yield leaf, inverse
+            yield leaf
 
     monkeypatch.setattr(Graft, "_leaves", counting_leaves)
     B = edge_ball_group(ball(4, 2, "edge"), cyclic(4))
@@ -294,11 +313,12 @@ def test_walk_yields_the_recursive_leaves_with_their_inverses(d, r, spec, center
         branches += [(True, frozenset()), (False, half(b, 0)), (False, half(b, 1))]
     for swap, forced in branches:
         n = 0
-        for got, expected in zip_longest(graft._leaves(swap, forced),
-                                         recursive_leaves(b, F, swap, forced)):
-            assert got is not None and expected is not None
-            leaf, inverse = got
+        for leaf, expected in zip_longest(graft._leaves(swap, forced),
+                                          recursive_leaves(b, F, swap, forced)):
+            assert leaf is not None and expected is not None
             assert leaf == expected
+            # every leaf is a bijection: it has a two-sided inverse
+            inverse = _invert(leaf)
             assert _compose(leaf, inverse) == ident == _compose(inverse, leaf)
             n += 1
         assert n > 0
@@ -331,8 +351,9 @@ def test_degree_mismatch_rejected():
         ball_stabilizer_group(ball(3, 1), symmetric(4))
 
 
-def test_illegal_coloring_still_generates_a_group():
-    # swap two colors at one endpoint of the central edge: valid, illegal
+def illegal_edge_ball():
+    """The d=3 radius-1 edge ball with two colors swapped at one endpoint
+    of the central edge: a valid coloring, but not a legal one."""
     from treeperm.treeball import coloring_from_edges, is_legal
     legal = ball(3, 1, "edge")
     colors = {}
@@ -343,8 +364,103 @@ def test_illegal_coloring_still_generates_a_group():
     colors[(0, 1)], colors[(0, others[0])] = colors[(0, others[0])], colors[(0, 1)]
     illegal = coloring_from_edges(legal, colors)
     assert not is_legal(illegal)[0]
+    return illegal
+
+
+def test_illegal_coloring_still_generates_a_group():
+    illegal = illegal_edge_ball()
     B = edge_ball_group(illegal, symmetric(3))
     # enumeration and BSGS agree by construction; panels still land in F
     assert B.order() == B.enumerated_count == B.formula_count
     for g in B.group.elements():
         assert in_Uc(illegal, g, symmetric(3))
+
+
+def test_illegal_coloring_with_an_overcounting_formula_sifts_its_leaves():
+    # a shuffled coloring under F = <(2 3)>: inherited colors leave the
+    # orbits of F, so the formula along one graft path (8) overcounts the
+    # graft set (4); no local generators reach it, so its leaves are sifted
+    from treeperm.treeball import coloring_from_edges
+    b = build_ball(3, 2)
+    rng = random.Random(4)
+    colors = {}
+    for v in range(b.n_vertices):
+        shuffled = [0, 1, 2]
+        rng.shuffle(shuffled)
+        colors.update(zip([(v, u) for u in b.neighbors(v)], shuffled))
+    B = ball_stabilizer_group(coloring_from_edges(b, colors),
+                              PermGroup(3, [parse_cycles("(2 3)", 3)]))
+    assert (B.order(), B.enumerated_count, B.formula_count) == (4, 4, 8)
+    assert [g.cycle_string() for g in B.group.generators] == ["(9 10)", "(5 6)"]
+
+
+def walk_built(B):
+    """(structural group, oracle) pairs for B and its subgroups: each oracle
+    sifts every leaf of the group's graft set, in walk order."""
+    graft = B.graft
+    walk = lambda *leaves: PermGroup.from_elements(graft.ball.n_vertices, chain(*leaves))
+    if B.type_preserving is None:
+        return [(B.group, walk(graft._leaves(False)))]
+    h0, h1 = half_ball_rigid_stabilizers(B)
+    return [(B.group, walk(graft._leaves(False), graft._leaves(True))),
+            (B.type_preserving, walk(graft._leaves(False))),
+            (h0, walk(graft._leaves(False, half(graft.ball, 0)))),
+            (h1, walk(graft._leaves(False, half(graft.ball, 1))))]
+
+
+# the balls pool, the vertex balls of criterion 7, and an illegally colored edge ball
+CRITERION_7_GRID = [(3, 1, "Sym(3)"), (3, 2, "Sym(3)"), (3, 1, "Cyc(3)"), (3, 2, "Cyc(3)"),
+                    (4, 1, "Sym(4)"), (4, 1, "Alt(4)"), (4, 1, "Dih(4)")]
+ORACLE_BALLS = {f"d{d}r{r}-{spec}-{c}": (lambda d=d, r=r, c=c: ball(d, r, c), spec)
+                for d, r, spec, c in BALL_POOL + [g + ("vertex",) for g in CRITERION_7_GRID]}
+ORACLE_BALLS["illegal-d3r1-Sym(3)-edge"] = (illegal_edge_ball, "Sym(3)")
+
+
+@pytest.mark.parametrize("case", ORACLE_BALLS, ids=ORACLE_BALLS.keys())
+def test_structural_group_is_the_walk_built_group(case):
+    make_ball, spec = ORACLE_BALLS[case]
+    b = make_ball()
+    build = ball_stabilizer_group if b.center_kind == "vertex" else edge_ball_group
+    for structural, oracle in walk_built(build(b, parse_group_spec(spec))):
+        assert structural.order() == oracle.order()
+        assert all(oracle.membership(g) for g in structural.generators)
+        assert all(structural.membership(g) for g in oracle.generators)
+
+
+def test_pool_ball_chains_need_no_full_schreier_sims(monkeypatch):
+    cases = [(ball(d, r, c), parse_group_spec(spec)) for d, r, spec, c in BALL_POOL]
+    for _, F in cases:
+        F.chain  # F's own chain is built from its generators, with no bound
+    rebuilt = []
+    real = StabilizerChain.from_generators.__func__
+    monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(
+        lambda cls, degree, gens: rebuilt.append(degree) or real(cls, degree, gens)))
+    for b, F in cases:
+        if b.center_kind == "vertex":
+            ball_stabilizer_group(b, F)
+        else:
+            half_ball_rigid_stabilizers(edge_ball_group(b, F))
+    assert rebuilt == []
+
+
+def test_the_bound_proof_checks_every_generator(monkeypatch):
+    b = ball(3, 2)
+    E = edge_ball_group(ball(3, 2, "edge"), symmetric(3))
+    generators = Graft._generators
+    # an odd panel at the center: a ball automorphism outside the Alt(3) graft set
+    odd = next(g for v, g in Graft(b, symmetric(3))._generators()
+               if v == 0 and not in_Uc(b, Permutation(g), alternating(3)))
+    monkeypatch.setattr(Graft, "_generators", lambda self: generators(self) + [(0, odd)])
+    with pytest.raises(AssertionError, match=r"not in the graft set of Alt\(3\)"):
+        ball_stabilizer_group(b, alternating(3))
+    # without the center's generators the group falls short of the bound
+    monkeypatch.setattr(Graft, "_generators",
+                        lambda self: [(v, g) for v, g in generators(self) if v != 0])
+    with pytest.raises(AssertionError, match="ball group order 8 is not its graft count 48"):
+        ball_stabilizer_group(b, symmetric(3))
+    # every generator sited on endpoint 1's half: those of endpoint 0 move the
+    # half that the first rigid stabilizer fixes
+    monkeypatch.setattr(Graft, "_generators",
+                        lambda self: [(1, g) for _, g in generators(self)])
+    with pytest.raises(AssertionError, match="is not in the graft set"):
+        half_ball_rigid_stabilizers(E)
