@@ -87,6 +87,11 @@ GOLDEN = [
     ("ball group --d 3 --radius 0 --F Sym(3) --center edge", 0, "6d2247c51e28fecfe303f68e2fc75d346c51948553daee8f54b21331f8186669"),
     ("ball group --d 3 --radius 2 --F Triv(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
     ("ball group --d 3 --radius 2 --F Triv(3) --center edge", 0, "48e6f87786c3d370cc7861b619a5123b4703db9c0f46878a6c58ebbcb832f8ba"),
+    # subgroup classes of Sym(6) (transitive rows), a Sylow scan of Sym(7)
+    # and a Tate check at an odd prime
+    ("criteria survey --d 6 --transitive-only", 0, "8994bbe9fb1440ffe0a7b57b7f26fc8f265202961fa61d4327f97864f6d7716a"),
+    ("series op --group Sym(7) --kind sylow --p 3", 0, "9c68097abfff21250f1d0e32e32c7e6791a138f05c0010fbc599c62d176e4e8c"),
+    ("tate verify --group Sym(5) --p 3", 0, "8744772e4e7d0e3ef19bc935a4b419006500a1bfe3e763846edc6416fe4a713b"),
 ]
 
 
