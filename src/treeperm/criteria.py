@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .groups import PermGroup, closure_elements
+from .perms import _compose
 from .series import prime_factors, p_part
 from .subgroups import SubgroupClass, enumerate_subgroups_up_to_conjugacy
 from .treeball import build_ball, legal_coloring
@@ -92,12 +93,25 @@ def oracle_facts(F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> dict
         return all(len(orbit(elems, a)) == len(elems) for a in range(deg))
 
     def gen_by_stabs(elems, deg):
-        stab_elems = [g for g in elems if any(g(a) == a for a in range(deg))]
-        # closure of all point-stabilizer elements
-        gens = [g for g in stab_elems if not g.is_identity()]
-        if not gens:
-            return len(elems) == 1
-        return len(closure_elements(deg, gens, caps.element_cap)) == len(elems)
+        # grow the closure of the point-stabilizer elements one right coset
+        # at a time, adjoining only elements that lie outside it so far
+        ident = tuple(range(deg))
+        closed = {ident}
+        gens: list[tuple] = []
+        for g in elems:
+            x = g.images
+            if x in closed or all(x[a] != a for a in range(deg)):
+                continue
+            gens.append(x)
+            base = list(closed)
+            reps = [ident]
+            for r in reps:
+                for s in gens:
+                    t = _compose(r, s)
+                    if t not in closed:
+                        reps.append(t)
+                        closed.update(_compose(h, t) for h in base)
+        return len(closed) == len(elems)
 
     def young_contains(fp_elems, f_elems, deg):
         # orbit partition of F by scanning elements
@@ -196,17 +210,15 @@ _KNOWN_TRANSITIVE = {
 
 def class_label(cls: SubgroupClass, d: int, idx: int) -> str:
     """Human name when recognizable, else a stable generic label."""
-    G = cls.rep
     n = cls.order
     if n == 1:
         return "1"
-    cyclic = any(g.order() == n for g in G.elements())
     if cls.is_transitive:
         if (d, n) in _KNOWN_TRANSITIVE and _KNOWN_TRANSITIVE[(d, n)]:
             return _KNOWN_TRANSITIVE[(d, n)]
         if d == 4 and n == 4:
-            return "C4" if cyclic else "V"
-    if cyclic:
+            return "C4" if cls.cyclic else "V"
+    if cls.cyclic:
         return f"C{n}"
     if n == 4:
         return "C2xC2"

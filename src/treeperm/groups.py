@@ -14,6 +14,7 @@ stabilizers stop at |G| / |orbit| and are cached per point.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -103,7 +104,8 @@ class PermGroup:
         """
         if self._elements is None:
             self._elements = tuple(sorted(
-                closure_elements(self.degree, self.generators, caps.element_cap)))
+                closure_elements(self.degree, self.generators, caps.element_cap),
+                key=attrgetter("images")))
         elif len(self._elements) > caps.element_cap:
             raise ResourceLimitError("element enumeration", caps.element_cap,
                                      caps.element_cap + 1, "--element-cap")

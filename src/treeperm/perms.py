@@ -96,7 +96,21 @@ class Permutation:
         return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))
+        """Least common multiple of the cycle lengths."""
+        images = self.images
+        seen = bytearray(len(images))
+        result = 1
+        for i in range(len(images)):
+            if seen[i]:
+                continue
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = images[j]
+                length += 1
+            result = math.lcm(result, length)
+        return result
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-indexed, each starting at its least point."""

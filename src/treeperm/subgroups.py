@@ -1,11 +1,16 @@
 """Subgroup enumeration up to conjugacy for small ambient groups.
 
-Bottom-up over a Cayley table: every subgroup arises by repeatedly
-adjoining one element of prime-power order to a known class
-representative (prime-power torsion parts generate any element), so
-closing the trivial subgroup under single-element extensions and
-conjugacy dedup visits every class.  Representatives come out in a
-canonical deterministic order.
+Bottom-up over a Cayley table.  Every subgroup K > 1 is <H, a> for a
+proper subgroup H < K and an element a of prime-power order (the
+prime-power parts of its elements generate K), so extending class
+representatives by cyclic subgroups of prime-power order ("atoms")
+reaches every class.  If n in N_G(H) conjugates <a> to <a'>, then
+<H, a> and <H, a'> are conjugate, so each representative is extended by
+one atom per N_G(H)-orbit of the atoms outside it: the orbit idea of
+the cyclic extension method (Holt-Eick-O'Brien, Handbook of
+Computational Group Theory, 2005).  Classes are deduplicated by their
+conjugacy orbits and represented by their least conjugates, so the list
+comes out in a canonical deterministic order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import _compose
 from .series import prime_factors
 
 
@@ -27,6 +32,7 @@ class SubgroupClass:
     order: int
     class_size: int
     element_indices: tuple[int, ...]   # canonical rep as sorted ambient indices
+    cyclic: bool                       # some element's order is the class order
 
     @property
     def is_transitive(self) -> bool:
@@ -34,44 +40,54 @@ class SubgroupClass:
 
 
 class _Table:
-    """Cayley table of the ambient group over sorted element tuples."""
+    """Cayley table of the ambient group over its sorted elements, chain-free.
+
+    `right[b][a]` is the index of e_a ∘ e_b: column b is right
+    multiplication by e_b.  Only the generators' columns are composed
+    from image tuples.  Every other column is walked along a BFS
+    spanning tree of the right Cayley graph from the identity: for
+    e_j = e_w ∘ g, column j is column g after column w, so no cell
+    needs a permutation product.
+    """
 
     def __init__(self, G: PermGroup, caps: Caps):
         self.elements = G.elements(caps)     # sorted Permutations
-        n = len(self.elements)
-        index = {e.images: i for i, e in enumerate(self.elements)}
+        raw = [e.images for e in self.elements]
+        index = {im: i for i, im in enumerate(raw)}
         self.index = index
-        self.mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            row = self.mul[i]
-            for j, b in enumerate(self.elements):
-                row[j] = index[(a * b).images]
-        self.inv = [index[e.inverse().images] for e in self.elements]
-        self.ident = index[Permutation.identity(G.degree).images]
-        self.gen_idx = [index[g.images] for g in G.generators]
-
-    def conj(self, x: int, g: int) -> int:
-        """g x g^-1."""
-        return self.mul[self.mul[g][x]][self.inv[g]]
+        self.ident = index[tuple(range(G.degree))]
+        right: list = [None] * len(raw)
+        right[self.ident] = tuple(range(len(raw)))
+        gen_cols = [tuple([index[_compose(im, g.images)] for im in raw])
+                    for g in G.generators]
+        walk = [self.ident]
+        for w in walk:
+            for col in gen_cols:
+                j = col[w]
+                if right[j] is None:
+                    right[j] = _compose(col, right[w])
+                    walk.append(j)
+        self.right = right
+        self.inv = inv = [col.index(self.ident) for col in right]
+        # x -> g x g^-1 for each generator g of G
+        self.gen_conj = [tuple([right[inv[g]][col[g]] for col in right])
+                         for g in [index[p.images] for p in G.generators]]
 
 
 def _closure(table: _Table, subgroup: frozenset[int], gens: list[int],
              new_gen: int) -> frozenset[int]:
     """<subgroup, new_gen> by right-coset BFS over the Cayley table."""
+    right = table.right
     elems = set(subgroup)
+    base = list(subgroup)
     step_gens = gens + [new_gen]
     reps = [table.ident]
-    seen_reps = 0
-    while seen_reps < len(reps):
-        r = reps[seen_reps]
-        seen_reps += 1
+    for r in reps:
         for s in step_gens:
-            t = table.mul[r][s]
+            t = right[s][r]
             if t not in elems:
                 reps.append(t)
-                base = list(subgroup)
-                for h in base:
-                    elems.add(table.mul[h][t])
+                elems.update(map(right[t].__getitem__, base))
     return frozenset(elems)
 
 
@@ -81,8 +97,8 @@ def _conjugacy_orbit(table: _Table, fs: frozenset[int]) -> set[frozenset[int]]:
     while frontier:
         nxt = []
         for cur in frontier:
-            for g in table.gen_idx:
-                img = frozenset(table.conj(x, g) for x in cur)
+            for conj in table.gen_conj:
+                img = frozenset(map(conj.__getitem__, cur))
                 if img not in orbit:
                     orbit.add(img)
                     nxt.append(img)
@@ -90,26 +106,54 @@ def _conjugacy_orbit(table: _Table, fs: frozenset[int]) -> set[frozenset[int]]:
     return orbit
 
 
-def _prime_power_atoms(table: _Table) -> list[int]:
-    """One generator per cyclic subgroup of prime-power order."""
-    seen_cyclic: set[frozenset[int]] = set()
-    atoms = []
-    for i in range(len(table.elements)):
+def _cyclic_structure(table: _Table) -> tuple[list[int], list[int], list[int | None]]:
+    """Element orders, the atoms, and the atom of each prime-power element.
+
+    An atom is the least generator of a cyclic subgroup of prime-power
+    order; `atom_of[x]` is the atom of <x>, None for the identity and
+    for elements whose order is not a prime power.
+    """
+    n = len(table.right)
+    orders = [1] * n
+    atom_of: list[int | None] = [None] * n
+    atoms: list[int] = []
+    first: dict[frozenset[int], int] = {}
+    for i in range(n):
         if i == table.ident:
             continue
-        # order and cyclic subgroup of element i
-        powers = [table.ident]
-        x = i
+        col = table.right[i]
+        powers = [i]
+        x = col[i]
         while x != table.ident:
             powers.append(x)
-            x = table.mul[x][i]
-        if len(prime_factors(len(powers))) > 1:
-            continue  # not of prime-power order
-        cyc = frozenset(powers)
-        if cyc not in seen_cyclic:
-            seen_cyclic.add(cyc)
+            x = col[x]
+        orders[i] = len(powers) + 1
+        if len(prime_factors(orders[i])) > 1:
+            continue
+        atom = first.setdefault(frozenset(powers), i)
+        if atom == i:
             atoms.append(i)
-    return atoms
+        atom_of[i] = atom
+    return orders, atoms, atom_of
+
+
+def _orbit_atoms(table: _Table, subgroup: frozenset[int], gens: list[int],
+                 atoms: list[int], atom_of: list[int | None]) -> list[int]:
+    """The least atom of each N_G(subgroup)-orbit of atoms outside it."""
+    right, inv = table.right, table.inv
+    normalizer = range(len(right))
+    for h in gens:
+        col = right[h]
+        normalizer = [g for g in normalizer if right[inv[g]][col[g]] in subgroup]
+    chosen = []
+    covered: set[int] = set()
+    for a in atoms:
+        if a in subgroup or a in covered:
+            continue
+        chosen.append(a)
+        col = right[a]
+        covered.update(atom_of[right[inv[g]][col[g]]] for g in normalizer)
+    return chosen
 
 
 def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
@@ -124,7 +168,7 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
         raise ResourceLimitError("subgroup enumeration", caps.subgroup_cap, order,
                                  "--subgroup-cap")
     table = _Table(G, caps)
-    atoms = _prime_power_atoms(table)
+    orders, atoms, atom_of = _cyclic_structure(table)
 
     out: list[SubgroupClass] = []
     seen: set[frozenset[int]] = set()
@@ -136,18 +180,16 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
         idxs = tuple(sorted(canonical))
         rep = PermGroup.from_elements(G.degree, (table.elements[i].images for i in idxs),
                                       len(idxs))
-        out.append(SubgroupClass(rep=rep, order=len(canonical), class_size=size,
-                                 element_indices=idxs))
+        out.append(SubgroupClass(rep=rep, order=len(idxs), class_size=size,
+                                 element_indices=idxs,
+                                 cyclic=any(orders[i] == len(idxs) for i in idxs)))
         queue.append((canonical, [table.index[g.images] for g in rep.generators]))
 
     trivial = frozenset([table.ident])
     seen.add(trivial)
     add_class(trivial, 1)
-    while queue:
-        current, gens = queue.pop(0)
-        for a in atoms:
-            if a in current:
-                continue
+    for current, gens in queue:
+        for a in _orbit_atoms(table, current, gens, atoms, atom_of):
             K = _closure(table, current, gens, a)
             if K in seen:
                 continue

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,23 @@ def test_json_byte_determinism_modulo_wall_time(capsys):
     assert strip_timing(parse_json(out1)) == strip_timing(parse_json(out2))
     assert json.dumps(strip_timing(parse_json(out1)), sort_keys=True) == \
         json.dumps(strip_timing(parse_json(out2)), sort_keys=True)
+
+
+def test_survey_envelope_is_the_same_under_any_hash_seed():
+    # string hashes change with the per-process hash seed, so an envelope
+    # that leaned on the iteration order of a set or dict of strings would
+    # differ between these two processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from treeperm.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "criteria", "survey", "--d", "5"],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append(strip_timing(parse_json(proc.stdout)))
+    assert outs[0] == outs[1]
 
 
 def test_cap_refusal_names_cap_and_flag(capsys):

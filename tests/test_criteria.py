@@ -56,6 +56,19 @@ def test_oracle_facts_agree_on_survey_grid():
             assert row.oracle_agrees, row.label
 
 
+def test_oracle_gen_by_stabs_matches_closing_every_stabilizer_element():
+    from treeperm.groups import closure_elements
+    from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+    groups = [cls.rep for n in (4, 5) for cls in enumerate_subgroups_up_to_conjugacy(symmetric(n))]
+    groups += [dihedral(6), cyclic(6), trivial(3)]
+    for F in groups:
+        elems = F.elements()
+        stab = [g for g in elems
+                if not g.is_identity() and any(g(a) == a for a in range(F.degree))]
+        closed = len(closure_elements(F.degree, stab, 10 ** 6)) if stab else 1
+        assert oracle_facts(F, F)["Fp_gen_by_stabs"] == (closed == len(elems)), F.generators
+
+
 def test_survey_d3():
     rows = survey(3, transitive_only=True)
     assert [r.label for r in rows] == ["C3", "S3"]

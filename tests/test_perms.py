@@ -1,5 +1,7 @@
 """Permutation arithmetic and cycle-notation I/O."""
 
+import math
+
 import pytest
 
 from treeperm.errors import InputError
@@ -95,3 +97,15 @@ def test_compose_falls_back_below_degree_two():
     assert _compose((), ()) == ()
     assert type(_compose((0,), (0,))) is tuple
     assert Permutation(()).is_identity()
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_order_is_the_lcm_of_cycle_lengths(images):
+    p = Permutation(images)
+    assert p.order() == math.lcm(*map(len, p.cycles()))
+    assert (p ** p.order()).is_identity()

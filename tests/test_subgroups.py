@@ -1,11 +1,178 @@
-"""Subgroup enumeration up to conjugacy."""
+"""Subgroup enumeration up to conjugacy.
+
+The oracle below is the enumerator the library used before the walked
+table and the normalizer-orbit extension: a Cayley table filled with one
+Permutation product per cell, and a BFS that extends every class
+representative by every atom.
+"""
 
 import pytest
 
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import ResourceLimitError
-from treeperm.groups import symmetric
-from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, named_group,
+                             symmetric)
+from treeperm.perms import Permutation
+from treeperm.series import prime_factors
+from treeperm.subgroups import _Table, enumerate_subgroups_up_to_conjugacy
+from treeperm.wreath import wreath_tower
+
+
+class _ProductTable:
+    """Cayley table over the sorted elements, one Permutation product per cell."""
+
+    def __init__(self, G, caps=DEFAULT_CAPS):
+        self.elements = G.elements(caps)
+        n = len(self.elements)
+        index = {e.images: i for i, e in enumerate(self.elements)}
+        self.index = index
+        self.mul = [[0] * n for _ in range(n)]
+        for i, a in enumerate(self.elements):
+            row = self.mul[i]
+            for j, b in enumerate(self.elements):
+                row[j] = index[(a * b).images]
+        self.inv = [index[e.inverse().images] for e in self.elements]
+        self.ident = index[Permutation.identity(G.degree).images]
+        self.gen_idx = [index[g.images] for g in G.generators]
+
+    def conj(self, x, g):
+        return self.mul[self.mul[g][x]][self.inv[g]]
+
+
+def _oracle_closure(table, subgroup, gens, new_gen):
+    elems = set(subgroup)
+    step_gens = gens + [new_gen]
+    reps = [table.ident]
+    seen_reps = 0
+    while seen_reps < len(reps):
+        r = reps[seen_reps]
+        seen_reps += 1
+        for s in step_gens:
+            t = table.mul[r][s]
+            if t not in elems:
+                reps.append(t)
+                for h in list(subgroup):
+                    elems.add(table.mul[h][t])
+    return frozenset(elems)
+
+
+def _oracle_conjugacy_orbit(table, fs):
+    orbit = {fs}
+    frontier = [fs]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for g in table.gen_idx:
+                img = frozenset(table.conj(x, g) for x in cur)
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return orbit
+
+
+def _oracle_atoms(table):
+    seen_cyclic = set()
+    atoms = []
+    for i in range(len(table.elements)):
+        if i == table.ident:
+            continue
+        powers = [table.ident]
+        x = i
+        while x != table.ident:
+            powers.append(x)
+            x = table.mul[x][i]
+        if len(prime_factors(len(powers))) > 1:
+            continue
+        cyc = frozenset(powers)
+        if cyc not in seen_cyclic:
+            seen_cyclic.add(cyc)
+            atoms.append(i)
+    return atoms
+
+
+def oracle_classes(G):
+    """(order, class size, element indices, rep generators) of every class:
+    every representative closed with every atom."""
+    table = _ProductTable(G)
+    atoms = _oracle_atoms(table)
+    out = []
+    seen = set()
+    queue = []
+
+    def add_class(canonical, size):
+        idxs = tuple(sorted(canonical))
+        rep = PermGroup.from_elements(G.degree, (table.elements[i].images for i in idxs),
+                                      len(idxs))
+        out.append((len(canonical), size, idxs, [g.images for g in rep.generators]))
+        queue.append((canonical, [table.index[g.images] for g in rep.generators]))
+
+    trivial = frozenset([table.ident])
+    seen.add(trivial)
+    add_class(trivial, 1)
+    while queue:
+        current, gens = queue.pop(0)
+        for a in atoms:
+            if a in current:
+                continue
+            K = _oracle_closure(table, current, gens, a)
+            if K in seen:
+                continue
+            orbit = _oracle_conjugacy_orbit(table, K)
+            seen.update(orbit)
+            add_class(min(orbit, key=lambda fs: tuple(sorted(fs))), len(orbit))
+    out.sort(key=lambda c: (c[0], c[2]))
+    return out
+
+
+def _s3_x_s2():
+    # the S3 x S2 group on 3+2 points of the no-cocompact corpus
+    return PermGroup(5, [Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 0, 3, 4)),
+                         Permutation((0, 1, 2, 4, 3))])
+
+
+AMBIENTS = {
+    **{f"Sym({n})": (lambda n=n: symmetric(n)) for n in range(1, 6)},
+    "Alt(5)": lambda: alternating(5),
+    "Dih(6)": lambda: dihedral(6),
+    "Klein4": klein4,
+    "Cyc(6)": lambda: cyclic(6),
+    "F20": lambda: named_group("F20"),
+    "W_2(Sym(2))": lambda: wreath_tower(symmetric(2), 2).group,
+    "S3xS2": _s3_x_s2,
+}
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_classes_match_the_every_atom_oracle(name):
+    got = [(c.order, c.class_size, c.element_indices, [g.images for g in c.rep.generators])
+           for c in enumerate_subgroups_up_to_conjugacy(AMBIENTS[name]())]
+    assert got == oracle_classes(AMBIENTS[name]())
+
+
+@pytest.mark.parametrize("name", AMBIENTS)
+def test_walked_table_equals_the_product_table(name):
+    G = AMBIENTS[name]()
+    walked, product = _Table(G, DEFAULT_CAPS), _ProductTable(G)
+    n = len(product.elements)
+    assert [[walked.right[b][a] for b in range(n)] for a in range(n)] == product.mul
+    assert (walked.inv, walked.ident) == (product.inv, product.ident)
+
+
+@pytest.mark.parametrize("G, count", [(symmetric(6), 56), (alternating(5), 9),
+                                      (alternating(6), 22)],
+                         ids=["Sym(6)", "Alt(5)", "Alt(6)"])
+def test_class_counts_with_perfect_subgroups(G, count):
+    # Alt(5) and Alt(6) are perfect, so neither has a normal subgroup of
+    # prime index: extending H only by x in N_G(H) with x^p in H never
+    # reaches them, extending by one atom per normalizer orbit does
+    assert len(enumerate_subgroups_up_to_conjugacy(G)) == count
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cyclic_flag_matches_element_orders(n):
+    for cls in enumerate_subgroups_up_to_conjugacy(symmetric(n)):
+        assert cls.cyclic == any(g.order() == cls.order for g in cls.rep.elements())
 
 
 def test_sym3_classes():
