@@ -134,7 +134,7 @@ def criterion_05_wreath_order_law(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT
             for n in range(0, 4):
                 if F.degree ** n > caps.leaf_cap:
                     continue
-                tower = wreath_tower(F, n, caps, verify_order=False)
+                tower = wreath_tower(F, n, caps)
                 formula = tower_order(F.order(), F.degree, n)
                 if tower.group.order() != formula:
                     raise AssertionError(
@@ -301,7 +301,7 @@ def criterion_11_lattice(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) ->
         total = 0
         for F in (symmetric(2), klein4()):
             for n in (1, 2, 3):
-                tower = wreath_tower(F, n, caps, verify_order=False)
+                tower = wreath_tower(F, n, caps)
                 checks = lattice_sweep(tower, caps)
                 for c in checks:
                     if not c.meet_identity_holds:

@@ -248,7 +248,7 @@ def _parse_tower(spec: str, caps: Caps) -> WreathTower:
         n = int(depth)
     except ValueError as exc:
         raise InputError(f"bad tower depth {depth!r} in {spec!r}") from exc
-    return wreath_tower(parse_group_spec(base_spec), n, caps, verify_order=False)
+    return wreath_tower(parse_group_spec(base_spec), n, caps)
 
 
 def _parse_subset(T: WreathTower, spec: str) -> int:

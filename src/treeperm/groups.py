@@ -18,7 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bsgs import StabilizerChain, reduce_generators
+from .bsgs import StabilizerChain, _Level, reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError, read_input_file
 from .perms import Permutation, _compose, _invert, commutator, parse_cycles
@@ -71,13 +71,18 @@ class PermGroup:
 
     @property
     def chain(self) -> StabilizerChain:
+        """Built on first use; a chain short of a proved `_order_bound` raises."""
         if self._chain is None:
             gens = [g.images for g in self.generators]
             if self._order_bound is None:
                 self._chain = StabilizerChain.from_generators(self.degree, gens)
             else:
-                self._chain = StabilizerChain.up_to_order(
-                    self.degree, gens, self._order_bound(gens))
+                bound = self._order_bound(gens)
+                chain = StabilizerChain.up_to_order(self.degree, gens, bound)
+                if chain.order() != bound:
+                    raise AssertionError(f"{self.name or 'group'} has order {chain.order()}, "
+                                         f"not its proved bound {bound}")
+                self._chain = chain
         return self._chain
 
     def order(self) -> int:
@@ -150,29 +155,20 @@ class PermGroup:
             raise InputError(f"point {point} out of range for degree {self.degree}")
         if point in self._stabilizers:
             return self._stabilizers[point]
-        gens = [g.images for g in self.generators]
         ident = tuple(range(self.degree))
-        transversal = {point: ident}
-        orbit = [point]
-        idx = 0
-        while idx < len(orbit):
-            u = orbit[idx]
-            for g in gens:
-                v = g[u]
-                if v not in transversal:
-                    transversal[v] = _compose(g, transversal[u])
-                    orbit.append(v)
-            idx += 1
+        level = _Level(point, ident)
+        level.gens = [g.images for g in self.generators]
+        StabilizerChain._grow_orbit(level, 0, 0)
 
         def schreier():
-            for u in orbit:
-                tu = transversal[u]
-                for g in gens:
-                    s = _compose(_invert(transversal[g[u]]), _compose(g, tu))
+            for u in level.orbit:
+                tu = level.transversal[u]
+                for g in level.gens:
+                    s = _compose(level.inv_transversal[g[u]], _compose(g, tu))
                     if s != ident:
                         yield s
 
-        stab = PermGroup.from_elements(self.degree, schreier(), self.order() // len(orbit))
+        stab = PermGroup.from_elements(self.degree, schreier(), self.order() // len(level.orbit))
         self._stabilizers[point] = stab
         return stab
 

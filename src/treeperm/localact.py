@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
-from .bsgs import StabilizerChain
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
@@ -107,6 +107,11 @@ class Graft:
     (the coset of F sending v's inward color to j), or None at a free
     center, which takes every panel.  Panels are raw color image tuples
     in the order of `F.elements()`, all of them in `elems`.
+
+    The coloring must be legal.  Then no coset is empty: the color that
+    v inherits is sigma_p(inward), for the panel sigma_p placed at its
+    parent, so sigma_p is allowed at v; at an edge endpoint the central
+    edge has one color from both sides, so the identity is.
     """
 
     def __init__(self, ball: TreeBall, F: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -114,10 +119,12 @@ class Graft:
             raise InputError("ball groups need a colored ball")
         if F.degree != ball.d:
             raise InputError(f"local group degree {F.degree} != arity {ball.d}")
+        legal, witness = is_legal(ball)
+        if not legal:
+            raise InputError(f"ball groups need a legal coloring: {witness}")
         self.ball = ball
         self.F = F
         self.caps = caps
-        self.legal = is_legal(ball)[0]
         self.elems = [sigma.images for sigma in F.elements(caps)]
         self.plan: list[tuple] = []
         for v in sorted(ball.interior_vertices(), key=lambda v: (ball.depth[v], v)):
@@ -145,13 +152,11 @@ class Graft:
 
     def _first_panels(self, images: list[int | None], steps: Sequence[tuple]) -> int:
         """Place the first allowed panel at each step; return the product of
-        the panel counts (they do not depend on the panels), 0 at a dead end."""
+        the panel counts (they do not depend on the panels)."""
         total = 1
         for step in steps:
             panels = self._panels(step, images)
             total *= len(panels)
-            if total == 0:
-                return 0
             self._place(step, panels[0], images)
         return total
 
@@ -196,10 +201,9 @@ class Graft:
         ident = tuple(range(self.ball.d))
 
         def allowed(k: int) -> Sequence[tuple]:
-            panels = self._panels(plan[k], images)
             if plan[k][0] in forced_identity:
-                return (ident,) if ident in panels else ()
-            return panels
+                return (ident,)  # allowed: a coset holds its parent's panel, here the identity
+            return self._panels(plan[k], images)
 
         options: list[Sequence[tuple]] = [()] * len(plan)
         tried = [0] * len(plan)
@@ -226,11 +230,10 @@ class Graft:
     def _generators(self) -> list[tuple[int, tuple]]:
         """(site, generator) pairs of the endpoint-fixing group, in plan order:
         sigma at v, then the first allowed panel at every later step, which is
-        the identity (least in F) outside v's cone.  Only a legal coloring gives
-        the graft set this structure, so an illegal one gets no generators.
+        the identity (least in F) outside v's cone.
         """
         out = []
-        for k, step in enumerate(self.plan if self.legal else ()):
+        for k, step in enumerate(self.plan):
             v, parent = step[0], step[1]
             H = self.F if parent is None else self.F.point_stabilizer(self.ball.color_of[v][parent])
             for sigma in H.chain.strong_generators():
@@ -240,29 +243,25 @@ class Graft:
                 out.append((v, tuple(images)))
         return out
 
-    def _group(self, gens: list[tuple], bound: int, leaves: Iterable[tuple],
-               fixed: Sequence[int] = ()) -> PermGroup:
-        """The group of `gens`, with its chain built up to the proved order `bound`.
-
-        Each generator must be a ball automorphism with its local actions
-        in F, fixing `fixed`: then the group lies in the graft set that
-        `bound` counts, so a chain reaching it is complete; any other
-        order raises AssertionError.  An illegal coloring sifts `leaves`.
-        """
-        if not self.legal:
-            return PermGroup.from_elements(self.ball.n_vertices, leaves)
+    def _group(self, gens: list[tuple], bound: int, fixed: Sequence[int] = ()) -> PermGroup:
+        """The group of `gens`, with its chain built now up to the proved
+        order `bound`, a graft count; `PermGroup.chain` raises on a shortfall."""
         group = PermGroup(self.ball.n_vertices, [Permutation(g) for g in gens])
-        for g in group.generators:
+        group._order_bound = partial(self._prove_bound, bound, fixed)
+        group.chain
+        return group
+
+    def _prove_bound(self, bound: int, fixed: Sequence[int], gens: list[tuple]) -> int:
+        """`bound`, once each generator is shown to be a ball automorphism
+        with its local actions in F, fixing `fixed`: then the group lies in
+        the graft set that `bound` counts."""
+        for images in gens:
+            g = Permutation(images)
             if not (is_ball_automorphism(self.ball, g) and in_Uc(self.ball, g, self.F)) \
                     or any(g(v) != v for v in fixed):
                 raise AssertionError(f"ball generator {g.cycle_string()} is not "
                                      f"in the graft set of {self.F.name or 'F'}")
-        group._chain = StabilizerChain.up_to_order(
-            group.degree, [g.images for g in group.generators], bound)
-        if group.order() != bound:
-            raise AssertionError(f"ball group order {group.order()} "
-                                 f"is not its graft count {bound}")
-        return group
+        return bound
 
     def _check_caps(self, predicted: int) -> None:
         if predicted > self.caps.ball_order_cap:
@@ -307,7 +306,7 @@ def ball_stabilizer_group(ball: TreeBall, F: PermGroup,
     graft = Graft(ball, F, caps)
     formula = graft.count()
     graft._check_caps(formula)
-    group = graft._group([g for _, g in graft._generators()], formula, graft._leaves(False))
+    group = graft._group([g for _, g in graft._generators()], formula)
     count = _check_walk(group, graft._leaves(False))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=formula)
@@ -326,11 +325,10 @@ def edge_ball_group(ball: TreeBall, F: PermGroup,
     fixing, swapping = graft.count(swap=False), graft.count(swap=True)
     graft._check_caps(fixing + swapping)
     gens = [g for _, g in graft._generators()]
-    tp = graft._group(gens, fixing, graft._leaves(False), fixed=(0,))
+    tp = graft._group(gens, fixing, fixed=(0,))
     swap = graft._roots(True)
-    graft._first_panels(swap, graft.plan)  # a legal coloring always has one
-    group = graft._group(gens + [tuple(swap)], fixing + swapping,
-                         (leaf for branch in (False, True) for leaf in graft._leaves(branch)))
+    graft._first_panels(swap, graft.plan)
+    group = graft._group(gens + [tuple(swap)], fixing + swapping)
     count = _check_walk(group, graft._leaves(True), _check_walk(tp, graft._leaves(False)))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=fixing + swapping, fixing_count=fixing,
@@ -356,7 +354,7 @@ def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
         half = frozenset(v for v in range(ball.n_vertices) if side[v] == fixed_endpoint)
         bound = sum(1 for _ in B.graft._leaves(False, half))
         gens = [g for v, g in sited if side[v] != fixed_endpoint]
-        out.append(B.graft._group(gens, bound, B.graft._leaves(False, half), fixed=half))
+        out.append(B.graft._group(gens, bound, fixed=half))
     return out[0], out[1]
 
 
@@ -364,14 +362,9 @@ def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
 
 def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = False
                              ) -> Permutation:
-    """Uniform element of the graft's panel-constrained group (product measure).
-
-    An empty compatible coset raises InputError naming the vertex.
-    """
+    """Uniform element of the graft's panel-constrained group (product measure)."""
     images = graft._roots(swap)
     for step in graft.plan:
         panels = graft._panels(step, images)
-        if not panels:
-            raise InputError(f"no compatible panel at vertex {step[0]}")
         graft._place(step, panels[rng.randrange(len(panels))], images)
     return Permutation(images)

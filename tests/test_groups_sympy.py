@@ -1,7 +1,8 @@
 """Differential checks against sympy.combinatorics on random groups of
 degree <= 7: the subgroup scans, the chain facts, the stabilizer cache;
-on the known-order chains of wreath towers with at most 64 leaves; and
-on the structural chains of the ball groups of the benchmark's pool."""
+on the known-order chains of wreath towers with at most 64 leaves and
+of a few of their direct squares; and on the structural chains of the
+ball groups of the benchmark's pool."""
 
 import random
 
@@ -18,7 +19,7 @@ from treeperm.localact import (Graft, ball_stabilizer_group, edge_ball_group,  #
 from treeperm.perms import Permutation, _compose  # noqa: E402
 from treeperm.series import prime_factors, sylow_subgroup  # noqa: E402
 from treeperm.treeball import build_ball, legal_coloring  # noqa: E402
-from treeperm.wreath import tower_order, wreath_tower  # noqa: E402
+from treeperm.wreath import direct_square, tower_order, wreath_tower  # noqa: E402
 
 SymPerm = combinatorics.Permutation
 SymGroup = combinatorics.PermutationGroup
@@ -122,8 +123,8 @@ def random_word(rng, gens, length=12):
 @pytest.mark.parametrize("spec, depth", TOWERS, ids=[f"{s}:{n}" for s, n in TOWERS])
 def test_known_order_tower_chains_match_sympy(spec, depth):
     F = parse_group_spec(spec)
-    T = wreath_tower(F, depth, verify_order=False).group
-    ambient = wreath_tower(symmetric(F.degree), depth, verify_order=False).group
+    T = wreath_tower(F, depth).group
+    ambient = wreath_tower(symmetric(F.degree), depth).group
     ST = sym(T)
     # the chain comes from the generators with the order law as its bound
     assert T._order_bound is not None
@@ -134,6 +135,31 @@ def test_known_order_tower_chains_match_sympy(spec, depth):
     probes += [tuple(rng.sample(range(T.degree), T.degree)) for _ in range(3)]
     for p in probes:
         assert T.chain.contains(p) == ST.contains(SymPerm(list(p)))
+
+
+SQUARES = [("Sym(2)", 3), ("Sym(3)", 2), ("Klein4", 2), ("Alt(4)", 1), ("Dih(4)", 2)]
+
+
+@pytest.mark.parametrize("spec, depth", SQUARES, ids=[f"{s}:{n}" for s, n in SQUARES])
+def test_known_order_square_chains_match_sympy(spec, depth):
+    F = parse_group_spec(spec)
+    T = wreath_tower(F, depth)
+    S = direct_square(T)
+    ambient = direct_square(wreath_tower(symmetric(F.degree), depth))
+    SS = combinatorics.group_constructs.DirectProduct(sym(T.group), sym(T.group))
+    assert S._order_bound is not None
+    assert S.order() == SS.order() == T.group.order() ** 2
+    # probes: words in the square and in the ambient square, a square word
+    # with its right half from the ambient one, halves swapped, shuffles
+    rng = random.Random(depth * 100 + F.order())
+    m = T.leaf_count
+    probes = [random_word(rng, S.generators) for _ in range(6)]
+    probes += [random_word(rng, ambient.generators) for _ in range(6)]
+    probes += [a[:m] + b[m:] for a, b in zip(probes[:3], probes[6:9])]
+    probes += [p[m:] + p[:m] for p in probes[:3]]
+    probes += [tuple(rng.sample(range(S.degree), S.degree)) for _ in range(3)]
+    for p in probes:
+        assert S.chain.contains(p) == SS.contains(SymPerm(list(p)))
 
 
 @pytest.mark.parametrize("d, r, spec, center", BALL_POOL,

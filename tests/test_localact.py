@@ -11,13 +11,14 @@ from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
                              trivial)
-from treeperm import acceptance
+from treeperm import acceptance, wreath
 from treeperm.localact import (Graft, ball_stabilizer_group, defect_set, edge_ball_group,
                                half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
                                random_ball_automorphism)
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
 from treeperm.treeball import build_ball, legal_coloring
+from treeperm.wreath import direct_square, wreath_tower
 
 
 def ball(d, r, kind="vertex"):
@@ -346,6 +347,51 @@ def test_formula_order_matches_enumeration_on_grid():
         assert B.enumerated_count == Graft(b, F).count() == B.order()
 
 
+def random_legal_coloring(b, rng):
+    """A legal coloring that hands each vertex's free colors to its children
+    by a random bijection, after a random color on the central edge."""
+    from treeperm.treeball import coloring_from_edges
+    colors = {}
+    if b.center_kind == "edge":
+        colors[(0, 1)] = colors[(1, 0)] = rng.randrange(b.d)
+    for v in sorted(range(b.n_vertices), key=lambda v: (b.depth[v], v)):
+        taken = () if b.center_kind == "vertex" and v == 0 else (colors[(v, b.parent[v])],)
+        free = [c for c in range(b.d) if c not in taken]
+        rng.shuffle(free)
+        for u, c in zip(b.children[v], free):
+            colors[(v, u)] = colors[(u, v)] = c
+    return coloring_from_edges(b, colors)
+
+
+# (d, F, largest radius): F by generator cycles if intransitive, else by name
+RANDOM_COLORING_CASES = [(3, "(2 3)", 3), (4, "(1 2), (3 4)", 2), (4, "(1 2 3)", 3),
+                         (4, "(1 2)", 2), (5, "(1 2 3)", 2), (5, "(1 2)(3 4)", 2),
+                         (3, "Sym(3)", 2), (4, "Alt(4)", 1), (4, "Sym(4)", 1)]
+
+
+@pytest.mark.parametrize("d, spec, max_radius", RANDOM_COLORING_CASES,
+                         ids=[f"d{d}-<{spec}>" for d, spec, _ in RANDOM_COLORING_CASES])
+def test_formula_is_exact_under_random_legal_colorings(d, spec, max_radius):
+    F = PermGroup(d, [parse_cycles(c, d) for c in spec.split(", ")]) \
+        if spec.startswith("(") else parse_group_spec(spec)
+    rng = random.Random(d * 100 + len(spec))
+    for r in range(1, max_radius + 1):
+        for center in ("vertex", "edge"):
+            for _ in range(9):
+                b = random_legal_coloring(build_ball(d, r, center), rng)
+                if center == "vertex":
+                    B = ball_stabilizer_group(b, F)
+                else:
+                    B = edge_ball_group(b, F)
+                    h0, h1 = half_ball_rigid_stabilizers(B)
+                    assert h0.order() * h1.order() == B.type_preserving.order() \
+                        == B.fixing_count
+                assert B.order() == B.enumerated_count == B.formula_count
+                # no coset is empty, so sampling never dead-ends
+                for swap in {False, center == "edge"}:
+                    assert random_ball_automorphism(B.graft, rng, swap) in B.group
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(InputError):
         ball_stabilizer_group(ball(3, 1), symmetric(4))
@@ -367,19 +413,18 @@ def illegal_edge_ball():
     return illegal
 
 
-def test_illegal_coloring_still_generates_a_group():
+def test_illegal_coloring_is_refused_with_its_witness_edge():
     illegal = illegal_edge_ball()
-    B = edge_ball_group(illegal, symmetric(3))
-    # enumeration and BSGS agree by construction; panels still land in F
-    assert B.order() == B.enumerated_count == B.formula_count
-    for g in B.group.elements():
-        assert in_Uc(illegal, g, symmetric(3))
+    for build in (Graft, edge_ball_group):
+        with pytest.raises(InputError) as info:
+            build(illegal, symmetric(3))
+        assert str(info.value) == "ball groups need a legal coloring: edge 0<->2: colors 1 vs 2"
 
 
-def test_illegal_coloring_with_an_overcounting_formula_sifts_its_leaves():
+def test_illegal_coloring_with_an_overcounting_formula_is_refused():
     # a shuffled coloring under F = <(2 3)>: inherited colors leave the
-    # orbits of F, so the formula along one graft path (8) overcounts the
-    # graft set (4); no local generators reach it, so its leaves are sifted
+    # orbits of F, so the formula along one graft path (8) would overcount
+    # the graft set (4); the graft is refused before any count
     from treeperm.treeball import coloring_from_edges
     b = build_ball(3, 2)
     rng = random.Random(4)
@@ -388,10 +433,9 @@ def test_illegal_coloring_with_an_overcounting_formula_sifts_its_leaves():
         shuffled = [0, 1, 2]
         rng.shuffle(shuffled)
         colors.update(zip([(v, u) for u in b.neighbors(v)], shuffled))
-    B = ball_stabilizer_group(coloring_from_edges(b, colors),
+    with pytest.raises(InputError, match="ball groups need a legal coloring: edge "):
+        ball_stabilizer_group(coloring_from_edges(b, colors),
                               PermGroup(3, [parse_cycles("(2 3)", 3)]))
-    assert (B.order(), B.enumerated_count, B.formula_count) == (4, 4, 8)
-    assert [g.cycle_string() for g in B.group.generators] == ["(9 10)", "(5 6)"]
 
 
 def walk_built(B):
@@ -408,18 +452,17 @@ def walk_built(B):
             (h1, walk(graft._leaves(False, half(graft.ball, 1))))]
 
 
-# the balls pool, the vertex balls of criterion 7, and an illegally colored edge ball
+# the balls pool and the vertex balls of criterion 7
 CRITERION_7_GRID = [(3, 1, "Sym(3)"), (3, 2, "Sym(3)"), (3, 1, "Cyc(3)"), (3, 2, "Cyc(3)"),
                     (4, 1, "Sym(4)"), (4, 1, "Alt(4)"), (4, 1, "Dih(4)")]
-ORACLE_BALLS = {f"d{d}r{r}-{spec}-{c}": (lambda d=d, r=r, c=c: ball(d, r, c), spec)
+ORACLE_BALLS = {f"d{d}r{r}-{spec}-{c}": (d, r, spec, c)
                 for d, r, spec, c in BALL_POOL + [g + ("vertex",) for g in CRITERION_7_GRID]}
-ORACLE_BALLS["illegal-d3r1-Sym(3)-edge"] = (illegal_edge_ball, "Sym(3)")
 
 
 @pytest.mark.parametrize("case", ORACLE_BALLS, ids=ORACLE_BALLS.keys())
 def test_structural_group_is_the_walk_built_group(case):
-    make_ball, spec = ORACLE_BALLS[case]
-    b = make_ball()
+    d, r, spec, c = ORACLE_BALLS[case]
+    b = ball(d, r, c)
     build = ball_stabilizer_group if b.center_kind == "vertex" else edge_ball_group
     for structural, oracle in walk_built(build(b, parse_group_spec(spec))):
         assert structural.order() == oracle.order()
@@ -456,7 +499,7 @@ def test_the_bound_proof_checks_every_generator(monkeypatch):
     # without the center's generators the group falls short of the bound
     monkeypatch.setattr(Graft, "_generators",
                         lambda self: [(v, g) for v, g in generators(self) if v != 0])
-    with pytest.raises(AssertionError, match="ball group order 8 is not its graft count 48"):
+    with pytest.raises(AssertionError, match="group has order 8, not its proved bound 48"):
         ball_stabilizer_group(b, symmetric(3))
     # every generator sited on endpoint 1's half: those of endpoint 0 move the
     # half that the first rigid stabilizer fixes
@@ -464,3 +507,49 @@ def test_the_bound_proof_checks_every_generator(monkeypatch):
                         lambda self: [(1, g) for _, g in generators(self)])
     with pytest.raises(AssertionError, match="is not in the graft set"):
         half_ball_rigid_stabilizers(E)
+
+
+# -- the one proved-order check: each structural group below lacks generators,
+# so its chain falls short of its proved bound when first built
+
+def tower_without_root_generator(monkeypatch):
+    real = wreath.vertex_generator
+    monkeypatch.setattr(wreath, "vertex_generator", lambda d, n, vertex, f:
+                        tuple(range(d ** n)) if vertex == () else real(d, n, vertex, f))
+    T = wreath_tower(symmetric(2), 2)
+    assert T.group._chain is None  # towers are built lazily
+    return T.group.order
+
+
+def square_of_left_halves(monkeypatch):
+    square = direct_square(wreath_tower(alternating(3), 1))
+    square.generators = square.generators[::2]
+    return square.order
+
+
+def ball_without_center_generators(monkeypatch):
+    generators = Graft._generators
+    monkeypatch.setattr(Graft, "_generators",
+                        lambda self: [(v, g) for v, g in generators(self) if v != 0])
+    return lambda: ball_stabilizer_group(ball(3, 2), symmetric(3))
+
+
+def half_ball_without_endpoint_generators(monkeypatch):
+    E = edge_ball_group(ball(3, 2, "edge"), symmetric(3))
+    generators = Graft._generators
+    monkeypatch.setattr(Graft, "_generators",
+                        lambda self: [(v, g) for v, g in generators(self) if v != 1])
+    return lambda: half_ball_rigid_stabilizers(E)
+
+
+@pytest.mark.parametrize("build, message", [
+    (tower_without_root_generator, r"W_2\(Sym\(2\)\) has order 4, not its proved bound 8"),
+    (square_of_left_halves, r"W_1\(Alt\(3\)\)\^2 has order 3, not its proved bound 9"),
+    (ball_without_center_generators, "group has order 8, not its proved bound 48"),
+    (half_ball_without_endpoint_generators, "group has order 4, not its proved bound 8"),
+], ids=["tower", "square", "ball", "half-ball"])
+def test_a_structural_group_short_of_its_bound_raises_on_first_chain_use(
+        monkeypatch, build, message):
+    first_chain_use = build(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        first_chain_use()

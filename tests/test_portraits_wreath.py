@@ -7,7 +7,7 @@ import pytest
 from treeperm import wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
-from treeperm.groups import alternating, cyclic, dihedral, klein4, symmetric
+from treeperm.groups import PermGroup, alternating, cyclic, dihedral, klein4, symmetric
 from treeperm.perms import Permutation, parse_cycles
 from treeperm.portraits import (Portrait, flatten, identity_portrait,
                                 portrait_compose, portrait_inverse)
@@ -90,7 +90,7 @@ def test_wreath_order_examples():
 def test_wreath_order_law_small_grid():
     for F in [symmetric(2), symmetric(3), klein4()]:
         for n in range(3):
-            T = wreath_tower(F, n, verify_order=False)
+            T = wreath_tower(F, n)
             assert T.group.order() == tower_order(F.order(), F.degree, n)
 
 
@@ -183,11 +183,11 @@ def _root_generator_is(monkeypatch, bad):
 def test_tower_generator_must_be_a_tree_automorphism(monkeypatch):
     # (2 3) on the leaves of the depth-2 binary tree splits both cones
     _root_generator_is(monkeypatch, (0, 2, 1, 3))
-    T = wreath_tower(symmetric(2), 2, verify_order=False)
-    with pytest.raises(AssertionError, match="not a tree automorphism"):
-        T.group.order()
-    with pytest.raises(AssertionError, match="not a tree automorphism"):
-        wreath_tower(symmetric(2), 2)
+    # construction proves nothing: the first use of the chain does
+    for first_use in (PermGroup.order, lambda G: G.membership(Permutation.identity(4))):
+        T = wreath_tower(symmetric(2), 2)
+        with pytest.raises(AssertionError, match="not a tree automorphism"):
+            first_use(T.group)
 
 
 def test_tower_generator_local_actions_must_lie_in_the_base(monkeypatch):
@@ -195,7 +195,7 @@ def test_tower_generator_local_actions_must_lie_in_the_base(monkeypatch):
     # order 4^5, the order law holds, yet it is not W_2(Klein4)
     _root_generator_is(monkeypatch, vertex_generator(4, 2, (), (1, 2, 3, 0)))
     with pytest.raises(AssertionError, match=r"local action \(1 2 3 4\) outside Klein4"):
-        wreath_tower(klein4(), 2, verify_order=False).group.order()
+        wreath_tower(klein4(), 2).group.order()
 
 
 @pytest.mark.parametrize("bad, message", [
