@@ -11,8 +11,10 @@ A ball group is generated by the strong generators of each interior
 vertex's panel group (F at a vertex center, else the stabilizer in F of
 the inward color), each completed below the vertex by first panels.
 The generators are checked to lie in the graft set, so the graft count
-bounds the group order and the chain is built up to it.  The leaves
-are walked depth first and only counted, to check the chain order.
+bounds the group order and the chain is built up to it.  The graft
+leaves are counted, to check the chain order, by a depth-first walk that
+stops before the last step and adds the number of panels allowed there:
+each is one leaf, and none is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
@@ -184,48 +186,80 @@ class Graft:
         for u, c in zip(children, colors):
             images[u] = nbr[sigma[c]]
 
-    def _leaves(self, swap: bool, forced_identity: frozenset[int] = frozenset()):
-        """Yield the image tuples of all panel-compatible automorphisms.
-
-        Depth first over the plan, panels in F order, on one explicit
-        stack: `options[k]` holds the panels allowed at step k and
-        `tried[k]` how many of them were placed.
+    def _walk(self, images: list[int | None], forced_identity: frozenset[int] = frozenset()):
+        """Depth first over every step but the last, panels in F order, on
+        one explicit stack: `options[k]` holds the panels allowed at step k
+        and `tried[k]` how many of them were placed.  At each node of the
+        next-to-last step, with `images` placed up to the last step's
+        children, yield the panels allowed at the last step: each is
+        exactly one leaf.  A plan with no step yields one empty placement,
+        its single leaf, the roots.  Vertices in `forced_identity` take the
+        identity panel, which their coset holds: it holds the parent's panel.
         """
         plan = self.plan
-        nbr_by_color = self.ball.nbr_by_color
-        images = self._roots(swap)
-        last = len(plan) - 1
-        if last < 0:
-            yield tuple(images)
+        if not plan:
+            yield (None,)
             return
-        ident = tuple(range(self.ball.d))
-
-        def allowed(k: int) -> Sequence[tuple]:
-            if plan[k][0] in forced_identity:
-                return (ident,)  # allowed: a coset holds its parent's panel, here the identity
-            return self._panels(plan[k], images)
-
-        options: list[Sequence[tuple]] = [()] * len(plan)
-        tried = [0] * len(plan)
-        options[0] = allowed(0)
+        identity_only = (tuple(range(self.ball.d)),)
+        forced = dict.fromkeys(range(self.ball.d), identity_only)
+        steps = [(v, parent, tuple(zip(children, colors)),
+                  forced if v in forced_identity else cosets)
+                 for v, parent, children, colors, cosets in plan]
+        first = identity_only if plan[0][0] in forced_identity else self._panels(plan[0], images)
+        last = len(steps) - 1
+        if last == 0:
+            yield first
+            return
+        color_of = self.ball.color_of
+        nbr_by_color = self.ball.nbr_by_color
+        options: list[Sequence[tuple]] = [()] * last
+        tried = [0] * last
+        options[0] = first
         k = 0
         while k >= 0:
             c = tried[k]
-            if c == len(options[k]):
+            panels = options[k]
+            if c == len(panels):
                 k -= 1
                 continue
             tried[k] = c + 1
-            sigma = options[k][c]
-            v, _, children, colors, _ = plan[k]
-            nbr = nbr_by_color[images[v]]
-            for u, col in zip(children, colors):
+            sigma = panels[c]
+            nbr = nbr_by_color[images[steps[k][0]]]
+            for u, col in steps[k][2]:
                 images[u] = nbr[sigma[col]]
+            k += 1
+            v, parent, _, cosets = steps[k]
+            panels = cosets[color_of[images[v]][images[parent]]]
             if k == last:
-                yield tuple(images)
+                yield panels
+                k -= 1
             else:
-                k += 1
-                options[k] = allowed(k)
+                options[k] = panels
                 tried[k] = 0
+
+    def _count(self, swap: bool, forced_identity: frozenset[int] = frozenset()) -> int:
+        """The number of panel-compatible automorphisms, by the walk: the
+        allowed panels of the last step summed over its parent nodes, with
+        no leaf built.  No step's panel count is multiplied in, so the sum
+        stays an enumeration independent of `count()`."""
+        return sum(map(len, self._walk(self._roots(swap), forced_identity)))
+
+    def _leaves(self, swap: bool, forced_identity: frozenset[int] = frozenset()):
+        """Yield the image tuples of all panel-compatible automorphisms, in
+        walk order: each panel allowed at the last step placed on top of
+        `_walk`, the walk that `_count` sums."""
+        images = self._roots(swap)
+        if not self.plan:
+            yield tuple(images)
+            return
+        v, _, children, colors, _ = self.plan[-1]
+        nbr_by_color = self.ball.nbr_by_color
+        for panels in self._walk(images, forced_identity):
+            nbr = nbr_by_color[images[v]]
+            for sigma in panels:
+                for u, col in zip(children, colors):
+                    images[u] = nbr[sigma[col]]
+                yield tuple(images)
 
     def _generators(self) -> list[tuple[int, tuple]]:
         """(site, generator) pairs of the endpoint-fixing group, in plan order:
@@ -273,9 +307,9 @@ class Graft:
                                      "--ball-vertex-cap (or reduce the radius)")
 
 
-def _check_walk(group: PermGroup, leaves: Iterable[tuple], before: int = 0) -> int:
-    """Count the leaves after `before` earlier ones: the chain order."""
-    count = before + sum(1 for _ in leaves)
+def _check_walk(group: PermGroup, count: int) -> int:
+    """`count`, a leaf count of the graft walk (`Graft._count`), once it
+    equals the chain order."""
     if group.order() != count:
         raise AssertionError(f"graft count {count} disagrees with BSGS order {group.order()}")
     return count
@@ -307,7 +341,7 @@ def ball_stabilizer_group(ball: TreeBall, F: PermGroup,
     formula = graft.count()
     graft._check_caps(formula)
     group = graft._group([g for _, g in graft._generators()], formula)
-    count = _check_walk(group, graft._leaves(False))
+    count = _check_walk(group, graft._count(False))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=formula)
 
@@ -329,7 +363,7 @@ def edge_ball_group(ball: TreeBall, F: PermGroup,
     swap = graft._roots(True)
     graft._first_panels(swap, graft.plan)
     group = graft._group(gens + [tuple(swap)], fixing + swapping)
-    count = _check_walk(group, graft._leaves(True), _check_walk(tp, graft._leaves(False)))
+    count = _check_walk(group, _check_walk(tp, graft._count(False)) + graft._count(True))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
                      formula_count=fixing + swapping, fixing_count=fixing,
                      swap_count=swapping, type_preserving=tp)
@@ -352,7 +386,7 @@ def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
     out = []
     for fixed_endpoint in (0, 1):
         half = frozenset(v for v in range(ball.n_vertices) if side[v] == fixed_endpoint)
-        bound = sum(1 for _ in B.graft._leaves(False, half))
+        bound = B.graft._count(False, half)
         gens = [g for v, g in sited if side[v] != fixed_endpoint]
         out.append(B.graft._group(gens, bound, fixed=half))
     return out[0], out[1]

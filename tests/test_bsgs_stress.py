@@ -226,17 +226,23 @@ def test_bounded_sift_raises_unless_the_chain_ends_at_its_order():
 
 
 def test_graft_count_still_checks_the_chain(monkeypatch):
-    # the leaf walk only counts: its count stays the independent check of
-    # the chain built up to the graft formula, so one leaf too many is caught
-    leaves = Graft._leaves
+    # the count-only walk stays the independent check of the chain built
+    # up to the graft formula: one spurious last-step panel, or one
+    # spurious node above the last step holding a panel, is caught
+    walk = Graft._walk
 
-    def with_spurious_leaf(self, *args, **kwargs):
-        first = None
-        for leaf in leaves(self, *args, **kwargs):
-            first = first or leaf
-            yield leaf
-        yield first
+    def with_spurious_panel(self, *args, **kwargs):
+        items = walk(self, *args, **kwargs)
+        first = next(items)
+        yield tuple(first) + tuple(first[:1])
+        yield from items
 
-    monkeypatch.setattr(Graft, "_leaves", with_spurious_leaf)
-    with pytest.raises(AssertionError, match="graft count 49 disagrees with BSGS order 48"):
-        ball_stabilizer_group(legal_coloring(build_ball(3, 2, "vertex")), symmetric(3))
+    def with_spurious_node(self, *args, **kwargs):
+        for panels in walk(self, *args, **kwargs):
+            yield panels
+        yield panels[:1]
+
+    for spurious in (with_spurious_panel, with_spurious_node):
+        monkeypatch.setattr(Graft, "_walk", spurious)
+        with pytest.raises(AssertionError, match="graft count 49 disagrees with BSGS order 48"):
+            ball_stabilizer_group(legal_coloring(build_ball(3, 2, "vertex")), symmetric(3))

@@ -35,8 +35,13 @@ def test_local_action_of_identity():
 def test_local_action_needs_interior():
     b = ball(3, 1)
     ident = Permutation.identity(b.n_vertices)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^local action undefined: vertex 1 or image 1 "
+                                         r"is not interior$"):
         local_action(b, ident, 1)  # boundary vertex
+    # the center is interior, but this permutation sends it to the boundary
+    with pytest.raises(InputError, match=r"^local action undefined: vertex 0 or image 1 "
+                                         r"is not interior$"):
+        local_action(b, parse_cycles("(1 2)", b.n_vertices), 0)
 
 
 def test_mirror_swap_has_identity_panels():
@@ -231,19 +236,30 @@ def test_swap_count_equals_fixing_count_for_legal_colorings():
 
 
 def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
+    # the count-only walk sums the panels allowed at the last step: the
+    # leaves they stand for are distinct group elements, as many as the
+    # count and the order
     leaves = []
-    enumerate_leaves = Graft._leaves
+    walk = Graft._walk
 
-    def counting_leaves(self, *args, **kwargs):
-        for leaf in enumerate_leaves(self, *args, **kwargs):
-            leaves.append(leaf)
-            yield leaf
+    def counted_leaves(self, images, *args, **kwargs):
+        v, _, children, colors, _ = self.plan[-1]
+        for panels in walk(self, images, *args, **kwargs):
+            for sigma in panels:
+                leaf = list(images)
+                for u, c in zip(children, colors):
+                    leaf[u] = self.ball.nbr_by_color[images[v]][sigma[c]]
+                leaves.append(tuple(leaf))
+            yield panels
 
-    monkeypatch.setattr(Graft, "_leaves", counting_leaves)
-    B = edge_ball_group(ball(4, 2, "edge"), cyclic(4))
-    assert B.type_preserving.order() * 2 == B.order()
-    assert len(leaves) == B.enumerated_count == B.order()
-    assert len(set(leaves)) == len(leaves)
+    monkeypatch.setattr(Graft, "_walk", counted_leaves)
+    for b, F in [(ball(4, 2, "edge"), cyclic(4)), (ball(3, 2, "edge"), symmetric(3))]:
+        leaves.clear()
+        B = edge_ball_group(b, F)
+        assert B.type_preserving.order() * 2 == B.order()
+        assert len(leaves) == B.enumerated_count == B.order()
+        assert len(set(leaves)) == len(leaves)
+        assert all(B.group.membership(Permutation(leaf)) for leaf in leaves)
 
 
 def recursive_leaves(b, F, swap, forced_identity=frozenset()):
@@ -302,8 +318,23 @@ BALL_POOL = [(3, 2, "Sym(3)", "vertex"), (3, 2, "Sym(3)", "edge"), (3, 3, "Cyc(3
              (4, 2, "Alt(4)", "edge"), (5, 2, "F20", "vertex"), (3, 3, "Sym(3)", "edge")]
 
 
-@pytest.mark.parametrize("d, r, spec, center", BALL_POOL,
-                         ids=[f"d{d}r{r}-{spec}-{c}" for d, r, spec, c in BALL_POOL])
+# plans of 0, 1 and 2 steps: the walk stops before the last step, or has none
+SHORT_PLANS = [(3, 0, "Sym(3)", "vertex"), (3, 0, "Sym(3)", "edge"), (3, 1, "Sym(3)", "vertex"),
+               (3, 1, "Sym(3)", "edge"), (4, 1, "Alt(4)", "edge")]
+
+
+def last_coset_size(b, F, forced):
+    """How many panels the last interior vertex allows under a legal coloring."""
+    interior = sorted(b.interior_vertices(), key=lambda v: (b.depth[v], v))
+    if not interior or interior[-1] in forced:
+        return 1
+    if b.parent[interior[-1]] is None:
+        return F.order()
+    return F.point_stabilizer(b.inward_color(interior[-1])).order()
+
+
+@pytest.mark.parametrize("d, r, spec, center", BALL_POOL + SHORT_PLANS,
+                         ids=[f"d{d}r{r}-{spec}-{c}" for d, r, spec, c in BALL_POOL + SHORT_PLANS])
 def test_walk_yields_the_recursive_leaves_with_their_inverses(d, r, spec, center):
     b = ball(d, r, center)
     F = parse_group_spec(spec)
@@ -323,8 +354,13 @@ def test_walk_yields_the_recursive_leaves_with_their_inverses(d, r, spec, center
             assert _compose(leaf, inverse) == ident == _compose(inverse, leaf)
             n += 1
         assert n > 0
+        assert graft._count(swap, forced) == n
         if not forced:
             assert n == graft.count(swap)
+        # one item per node above the last step, none per leaf
+        size = last_coset_size(b, F, forced)
+        assert [len(panels) for panels in graft._walk(graft._roots(swap), forced)] \
+            == [size] * (n // size)
 
 
 def test_radius_zero_and_boundary_freedom():
