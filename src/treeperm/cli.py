@@ -46,7 +46,8 @@ def _read_json(spec: str, flag: str) -> dict:
 
 
 def _caps_from_args(args: argparse.Namespace) -> Caps:
-    return DEFAULT_CAPS.with_overrides(
+    """Caps with the flags given; a negative cap is an input error (0 is legal)."""
+    caps = DEFAULT_CAPS.with_overrides(
         element_cap=getattr(args, "element_cap", None),
         subgroup_cap=getattr(args, "subgroup_cap", None),
         leaf_cap=getattr(args, "leaf_cap", None),
@@ -55,6 +56,11 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
         tree_vertex_cap=getattr(args, "tree_vertex_cap", None),
         pair_cap=getattr(args, "max_pairs", None),
     )
+    for name, value in vars(caps).items():
+        if value < 0:
+            flag = "--max-pairs" if name == "pair_cap" else "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be non-negative, got {value}")
+    return caps
 
 
 def emit(result: dict, args: argparse.Namespace, caps: Caps, t0: float) -> None:
@@ -446,9 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    caps = _caps_from_args(args)
     t0 = time.perf_counter()
     try:
+        caps = _caps_from_args(args)
         result, code = args.handler(args, caps)
         if result is not None:
             emit(result, args, caps, t0)

@@ -5,6 +5,11 @@ closures/cores, centralizers, intersections, and the transitivity /
 free-action / stabilizer-generation predicates used by the tree-group
 criteria.
 
+One breadth-first search, `_bfs`, walks every orbit and closure here:
+point orbits, the element closure behind `elements` (under the element
+cap), the conjugacy classes of `normal_core`, and the subgroup
+conjugacy orbits of `subgroups`.
+
 Centralizers, intersections and normal cores are element scans on raw
 image tuples.  A scan has counted its subgroup exactly, so it passes
 the count to `from_elements` as the proved order: sifting stops once
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .bsgs import StabilizerChain, _Level, reduce_generators
 from .config import DEFAULT_CAPS, Caps
@@ -121,18 +126,7 @@ class PermGroup:
     def orbit(self, point: int) -> list[int]:
         if not 0 <= point < self.degree:
             raise InputError(f"point {point} out of range for degree {self.degree}")
-        orbit = [point]
-        seen = {point}
-        idx = 0
-        while idx < len(orbit):
-            u = orbit[idx]
-            for g in self.generators:
-                v = g(u)
-                if v not in seen:
-                    seen.add(v)
-                    orbit.append(v)
-            idx += 1
-        return orbit
+        return _bfs(point, [g.images for g in self.generators], lambda u, g: g[u])
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of {0..degree-1}, each orbit sorted, ordered by minimum."""
@@ -211,18 +205,14 @@ class PermGroup:
         self._require_subgroup(K, "normal_closure")
         chain = StabilizerChain(self.degree)
         gens: list[Permutation] = []
-        queue = list(K.generators)
-        for g in queue:
+        for g in K.generators:
             if chain.add_generator(g.images):
                 gens.append(g)
-        idx = 0
-        while idx < len(gens):
-            x = gens[idx]
+        for x in gens:
             for g in self.generators:
                 y = g * x * g.inverse()
                 if chain.add_generator(y.images):
                     gens.append(y)
-            idx += 1
         result = PermGroup(self.degree, gens)
         result._chain = chain
         return result
@@ -243,24 +233,14 @@ class PermGroup:
         for u in u_list:
             if u in decided:
                 continue
-            # conjugacy class of u under self
-            cls = {u}
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g, g_inv in conjugators:
-                        y = _compose(_compose(g, x), g_inv)
-                        if y not in cls:
-                            cls.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if cls <= u_elems:
+            # conjugacy class of u under self: x -> g x g^-1
+            cls = _bfs(u, conjugators, lambda x, c: _compose(_compose(c[0], x), c[1]))
+            if u_elems.issuperset(cls):
                 # the whole class lies in the core
                 core.extend(sorted(cls))
                 decided.update(cls)
             else:
-                decided.update(cls & u_elems)
+                decided.update(u_elems.intersection(cls))
         return PermGroup.from_elements(self.degree, core, len(core))
 
     def derived_subgroup(self) -> "PermGroup":
@@ -307,28 +287,32 @@ class PermGroup:
         return f"PermGroup<{label}: {gens}>"
 
 
-# -- group elements by brute closure, no PermGroup machinery ---------------
+# -- the one breadth-first search, no PermGroup machinery -----------------
+
+def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None) -> list:
+    """`start` and every value reached from it by `act(x, g)`, g in
+    `gens`, in breadth-first discovery order (Holt-Eick-O'Brien, §4.1).
+
+    With a `cap`, a new value arriving when `cap` values are already
+    out is refused as an element enumeration past `--element-cap`.
+    """
+    out = [start]
+    seen = {start}
+    for x in out:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                if cap is not None and len(out) >= cap:
+                    raise ResourceLimitError("element enumeration", cap, len(out) + 1,
+                                             "--element-cap")
+                seen.add(y)
+                out.append(y)
+    return out
+
 
 def closure_elements(degree: int, gens: Sequence[Permutation], cap: int) -> list[Permutation]:
-    """Exhaustive closure oracle: plain BFS over image tuples."""
-    raw = [g.images for g in gens]
-    ident = tuple(range(degree))
-    seen = {ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in raw:
-                u = _compose(w, g)
-                if u not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError("element enumeration", cap, len(seen) + 1,
-                                                 "--element-cap")
-                    seen.add(u)
-                    nxt.append(u)
-                    out.append(u)
-        frontier = nxt
+    """Exhaustive closure oracle: `_bfs` from the identity over image tuples."""
+    out = _bfs(tuple(range(degree)), [g.images for g in gens], _compose, cap)
     # products of permutations need no bijection check: wrap each once
     wrapped = []
     for u in out:

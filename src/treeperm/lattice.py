@@ -15,12 +15,14 @@ are checked against live in tests/test_lattice.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .groups import PermGroup
 from .perms import Permutation
-from .wreath import WreathTower, rigid_stabilizer, tower_order, vertex_generator
+from .wreath import (WreathTower, _interior_vertices, rigid_stabilizer, tower_order,
+                     vertex_generator)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,9 @@ def cone_union_pool(T: WreathTower) -> list[int]:
 
     add(0)
     add(cone_bits(T, ()))
-    for k in range(1, T.depth + 1):
-        cones = [cone_bits(T, v) for v in _level_vertices(T.arity, k)]
+    # the vertices below the root, one level at a time
+    for _, level in groupby(_interior_vertices(T.arity, T.depth + 1)[1:], key=len):
+        cones = [cone_bits(T, v) for v in level]
         if 1 << len(cones) <= 1 << 12:
             for pick in range(1 << len(cones)):
                 bits = 0
@@ -220,13 +223,6 @@ def cone_union_pool(T: WreathTower) -> list[int]:
             for c in cones:
                 add(c)
     return pool
-
-
-def _level_vertices(d: int, k: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(k):
-        out = [v + (i,) for v in out for i in range(d)]
-    return out
 
 
 def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:

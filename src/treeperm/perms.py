@@ -51,9 +51,14 @@ class Permutation:
         images = list(range(degree))
         for cycle in cycles:
             cycle = list(cycle)
+            points = set()
             for a in cycle:
                 if not 0 <= a < degree:
                     raise InputError(f"cycle point {a + 1} out of range for degree {degree}")
+                if a in points:
+                    raise InputError(f"point {a + 1} repeated in cycle notation")
+                points.add(a)
+            # a point moved by an earlier cycle is repeated across cycles
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if images[a] != a:
                     raise InputError(f"point {a + 1} repeated in cycle notation")

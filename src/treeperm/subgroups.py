@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
-from .groups import PermGroup
+from .groups import PermGroup, _bfs
 from .perms import _compose
 from .series import prime_factors
 
@@ -89,21 +89,6 @@ def _closure(table: _Table, subgroup: frozenset[int], gens: list[int],
                 reps.append(t)
                 elems.update(map(right[t].__getitem__, base))
     return frozenset(elems)
-
-
-def _conjugacy_orbit(table: _Table, fs: frozenset[int]) -> set[frozenset[int]]:
-    orbit = {fs}
-    frontier = [fs]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for conj in table.gen_conj:
-                img = frozenset(map(conj.__getitem__, cur))
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return orbit
 
 
 def _cyclic_structure(table: _Table) -> tuple[list[int], list[int], list[int | None]]:
@@ -193,7 +178,8 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
             K = _closure(table, current, gens, a)
             if K in seen:
                 continue
-            orbit = _conjugacy_orbit(table, K)
+            # K's class: the gen_conj columns conjugate element indices
+            orbit = _bfs(K, table.gen_conj, lambda fs, conj: frozenset(map(conj.__getitem__, fs)))
             seen.update(orbit)
             add_class(min(orbit, key=lambda fs: tuple(sorted(fs))), len(orbit))
 

@@ -195,9 +195,8 @@ def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 def rigid_stabilizer(T: WreathTower, vertex: tuple[int, ...]) -> PermGroup:
     """Subgroup supported on the leaf cone below `vertex`: a copy of W_{n-k}(F)."""
+    T.cone_leaves(vertex)  # refuses a vertex off the tree
     k = len(vertex)
-    if k > T.depth or not all(0 <= i < T.arity for i in vertex):
-        raise InputError(f"vertex {vertex} not in the depth-{T.depth} tree")
     gens = [g for g, (site, _) in zip(T.group.generators, T.generator_sites)
             if site[:k] == vertex]
     return PermGroup(T.group.degree, gens,

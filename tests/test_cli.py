@@ -254,6 +254,8 @@ def test_survey_table_format(capsys):
 
 DEFECTS = ["ball", "defects", "--d", "3", "--F", "Alt(3)", "--Fprime", "Sym(3)"]
 COLOR_FILE = ["tree", "ball", "--d", "3", "--radius", "1", "--color", "file:{tmp}/input"]
+TATE = ["tate", "verify", "--group", "Sym(3)", "--p", "2"]
+BALL = ["ball", "group", "--d", "3", "--radius", "2", "--F", "Sym(3)"]
 
 MALFORMED = {
     "element-bad-json": DEFECTS + ["--radius", "2", "--element", "{bad"],
@@ -295,6 +297,17 @@ MALFORMED = {
                          "--out", "{tmp}/input/x.json"],
     "out-is-a-directory": ["tate", "verify", "--group", "Sym(3)", "--p", "2",
                            "--out", "{tmp}"],
+    "group-file-repeated-point": ["wreath", "build", "--base", "file:{tmp}/input",
+                                  "--depth", "2"],
+    "element-cap-negative": TATE + ["--element-cap", "-5"],
+    "subgroup-cap-negative": ["criteria", "survey", "--d", "4", "--subgroup-cap", "-3"],
+    "leaf-cap-negative": ["wreath", "build", "--base", "Klein4", "--depth", "2",
+                          "--leaf-cap", "-1"],
+    "ball-order-cap-negative": BALL + ["--ball-order-cap", "-1"],
+    "ball-vertex-cap-negative": BALL + ["--ball-vertex-cap", "-7"],
+    "tree-vertex-cap-negative": ["tree", "ball", "--d", "3", "--radius", "2",
+                                 "--tree-vertex-cap", "-2"],
+    "max-pairs-negative": ["lattice", "sweep", "--tower", "Sym(2):2", "--max-pairs", "-1"],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -324,6 +337,16 @@ ERROR_TEXT = {
     # an --out path that cannot be written names the path and the OS reason
     "out-under-a-file": "error: --out: cannot write {tmp}/input/x.json: File exists\n",
     "out-is-a-directory": "error: --out: cannot write {tmp}: Is a directory\n",
+    # a point repeated within one cycle, even next to itself
+    "group-file-repeated-point": "error: line 2: point 2 repeated in cycle notation\n",
+    # a negative cap names its flag
+    "element-cap-negative": "error: --element-cap must be non-negative, got -5\n",
+    "subgroup-cap-negative": "error: --subgroup-cap must be non-negative, got -3\n",
+    "leaf-cap-negative": "error: --leaf-cap must be non-negative, got -1\n",
+    "ball-order-cap-negative": "error: --ball-order-cap must be non-negative, got -1\n",
+    "ball-vertex-cap-negative": "error: --ball-vertex-cap must be non-negative, got -7\n",
+    "tree-vertex-cap-negative": "error: --tree-vertex-cap must be non-negative, got -2\n",
+    "max-pairs-negative": "error: --max-pairs must be non-negative, got -1\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}
@@ -335,6 +358,7 @@ INPUT_FILES = {
     "color-not-integer": json.dumps({**SHAPE, "edges": [{"id": 0, "color": "red"}]}).encode(),
     "group-file-not-utf8": b"degree: 3\ngen: (1 2)\xff\n",
     "out-under-a-file": b"",
+    "group-file-repeated-point": b"degree: 3\ngen: (1 2 2)\n",
 }
 
 
@@ -351,6 +375,15 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
         assert "not an automorphism" in err
     if case in ERROR_TEXT:
         assert err == ERROR_TEXT[case].replace("{tmp}", str(tmp_path))
+
+
+def test_zero_caps_stay_legal(capsys):
+    code, out, _ = run_cli(capsys, "lattice", "sweep", "--tower", "Sym(2):2", "--max-pairs", "0")
+    assert code == 0 and parse_json(out)["result"]["pairs_checked"] == 0
+    code, out, err = run_cli(capsys, *TATE, "--element-cap", "0")
+    assert code == 1 and out == ""
+    assert err == ("error: element enumeration cap exceeded: requested 2, cap 0 "
+                   "(raise with --element-cap)\n")
 
 
 # different subcommands in one process, the last a usage error

@@ -68,6 +68,14 @@ def test_orbits_partition():
     assert G.orbits() == [[0, 1], [2], [3]]
 
 
+def test_orbit_is_in_breadth_first_discovery_order():
+    # neither sorted nor depth-first: 2 and 4 are found from 1, then 3 from 2
+    G = PermGroup(6, [parse_cycles("(1 2 3)", 6), parse_cycles("(1 4)(5 6)", 6)])
+    assert G.orbit(0) == [0, 1, 3, 2]
+    assert G.orbit(4) == [4, 5]
+    assert G.orbits() == [[0, 1, 2, 3], [4, 5]]
+
+
 def test_orbit_point_range_checked():
     with pytest.raises(InputError):
         symmetric(3).orbit(5)
@@ -190,6 +198,22 @@ def test_cached_elements_respect_a_smaller_cap():
     assert str(cached.value) == str(fresh.value)
     assert cached.value.requested == 11
     assert len(S5.elements(DEFAULT_CAPS.with_overrides(element_cap=120))) == 120
+
+
+def test_fresh_closure_refuses_only_past_the_cap():
+    def cap(n):
+        return DEFAULT_CAPS.with_overrides(element_cap=n)
+
+    assert len(symmetric(5).elements(cap(120))) == 120
+    with pytest.raises(ResourceLimitError) as at_119:
+        symmetric(5).elements(cap(119))
+    assert at_119.value.requested == 120 and at_119.value.cap_value == 119
+    # the identity is always out, so the first new element is the second
+    with pytest.raises(ResourceLimitError) as at_0:
+        symmetric(5).elements(cap(0))
+    assert at_0.value.requested == 2
+    assert str(at_0.value) == ("element enumeration cap exceeded: requested 2, cap 0 "
+                               "(raise with --element-cap)")
 
 
 def render_group_file(G):

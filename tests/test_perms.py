@@ -77,6 +77,11 @@ def test_parse_errors_are_located():
         parse_cycles("(0 1)", 3)  # 1-indexed at the boundary
     with pytest.raises(InputError, match="repeated"):
         parse_cycles("(1 2)(2 3)", 3)
+    # a point repeated within one cycle, adjacent or not
+    for text, point in [("(1 2 2)", 2), ("(1 1)", 1), ("(3 1 2 2)", 2), ("(1 2 1)", 1)]:
+        with pytest.raises(InputError, match=f"^point {point} repeated in cycle notation$"):
+            parse_cycles(text, 3)
+    assert parse_cycles("(1)", 3).is_identity()
 
 
 def test_degree_mismatch_is_an_input_error():
