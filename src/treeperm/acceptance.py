@@ -79,7 +79,7 @@ def criterion_02_residual_oracle(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_
         checked = 0
         for cls in classes:
             for p in prime_factors(cls.order):
-                series = p_residual(cls.rep, p, caps)
+                series = p_residual(cls.rep, p)
                 oracle = p_residual_oracle(cls.rep, p, caps)
                 if not series.equals(oracle):
                     raise AssertionError(

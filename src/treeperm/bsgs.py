@@ -13,7 +13,7 @@ wraps it with `Permutation` values.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .perms import _compose, _invert
 
@@ -60,10 +60,9 @@ class StabilizerChain:
         residue joins, without queuing Schreier generators.  The orbits
         of such a partial chain multiply to at most the group order
         (Seress, ch. 4), so once their product reaches the proved upper
-        bound `order` the chain is complete.  Otherwise the chain is
-        rebuilt by full Schreier-Sims.
+        bound `order` the chain is complete.  Otherwise Schreier-Sims
+        completes the same chain, queuing every Schreier pair of a level.
         """
-        gens = list(gens)
         chain = cls(degree)
         for g in gens:
             if chain.order() == order:
@@ -77,9 +76,9 @@ class StabilizerChain:
             for lev in chain.levels[:i + 1]:
                 # lev.orbit is closed under every generator but the new last one
                 chain._grow_orbit(lev, len(lev.orbit), len(lev.gens) - 1)
-        if chain.order() == order:
-            return chain
-        return cls.from_generators(degree, gens)
+        if chain.order() != order:
+            chain._complete(len(chain.levels) - 1)
+        return chain
 
     # -- queries ---------------------------------------------------------
 
@@ -174,26 +173,15 @@ class StabilizerChain:
         """Close the orbit under the level's generators, given that its
         first `old_points` points were scanned with its first `old_gens`."""
         gens = lev.gens
+        new_gens = gens[old_gens:]
         orbit = lev.orbit
         tr = lev.transversal
         itr = lev.inv_transversal
-        # new generators applied to already-scanned points
-        for idx in range(old_points):
-            u = orbit[idx]
-            tu = tr[u]
-            for g in gens[old_gens:]:
-                v = g[u]
-                if v not in tr:
-                    tv = _compose(g, tu)
-                    tr[v] = tv
-                    itr[v] = _invert(tv)
-                    orbit.append(v)
-        # all generators applied to unscanned points
-        idx = old_points
+        idx = 0
         while idx < len(orbit):
             u = orbit[idx]
             tu = tr[u]
-            for g in gens:
+            for g in new_gens if idx < old_points else gens:
                 v = g[u]
                 if v not in tr:
                     tv = _compose(g, tu)
@@ -224,6 +212,18 @@ class StabilizerChain:
             if not (j == len(self.levels) and h == self.ident):
                 self._register(h, found_at=j, from_level=i + 1)
                 return j
+
+
+def _schreier_generators(degree: int, gens: list[Raw], point: int) -> tuple[int, Iterator[Raw]]:
+    """Orbit length of `point` under `gens`, and a lazy stream of the
+    non-identity Schreier generators of its stabilizer (Schreier's lemma)."""
+    ident = tuple(range(degree))
+    lev = _Level(point, ident)
+    lev.gens = gens
+    StabilizerChain._grow_orbit(lev, 0, 0)
+    tr, itr = lev.transversal, lev.inv_transversal
+    schreier = (_compose(itr[g[u]], _compose(g, tr[u])) for u in lev.orbit for g in gens)
+    return len(lev.orbit), (s for s in schreier if s != ident)
 
 
 def reduce_generators(degree: int, elements: Iterable[Raw],

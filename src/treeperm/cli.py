@@ -203,6 +203,8 @@ def cmd_ball_defects(args, caps) -> tuple[dict, int]:
     images = _read_json(args.element, "--element").get("vertex_images")
     if not isinstance(images, list):
         raise InputError("--element: expected a 'vertex_images' list")
+    if any(isinstance(x, bool) for x in images):
+        raise InputError("--element: vertex images must be integers, not booleans")
     if len(images) != ball.n_vertices:
         raise InputError(
             f"element has {len(images)} vertex images, ball has {ball.n_vertices}")
@@ -240,7 +242,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
     else:  # residual: argparse admits no other --kind
         if args.p is None:
             raise InputError("--p is required for --kind residual")
-        series = p_residual_series(G, args.p, caps)
+        series = p_residual_series(G, args.p)
         H = series[-1]
         kind, normal = "p_residual", True  # p_residual_series raised otherwise
         details = {"p": args.p, "quotient_order": G.order() // H.order(),

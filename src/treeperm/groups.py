@@ -23,7 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .bsgs import StabilizerChain, _Level, reduce_generators
+from .bsgs import StabilizerChain, _schreier_generators, reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError, read_input_file
 from .perms import Permutation, _compose, _invert, commutator, parse_cycles
@@ -149,20 +149,8 @@ class PermGroup:
             raise InputError(f"point {point} out of range for degree {self.degree}")
         if point in self._stabilizers:
             return self._stabilizers[point]
-        ident = tuple(range(self.degree))
-        level = _Level(point, ident)
-        level.gens = [g.images for g in self.generators]
-        StabilizerChain._grow_orbit(level, 0, 0)
-
-        def schreier():
-            for u in level.orbit:
-                tu = level.transversal[u]
-                for g in level.gens:
-                    s = _compose(level.inv_transversal[g[u]], _compose(g, tu))
-                    if s != ident:
-                        yield s
-
-        stab = PermGroup.from_elements(self.degree, schreier(), self.order() // len(level.orbit))
+        n, schreier = _schreier_generators(self.degree, [g.images for g in self.generators], point)
+        stab = PermGroup.from_elements(self.degree, schreier, self.order() // n)
         self._stabilizers[point] = stab
         return stab
 

@@ -85,6 +85,9 @@ class DefectReport:
 
 def defect_set(ball: TreeBall, g: Permutation, F: PermGroup, Fp: PermGroup) -> DefectReport:
     """Interior vertices with panel in F' \\ F; panels outside F' are violations."""
+    for H in (F, Fp):
+        if H.degree != ball.d:
+            raise InputError(f"local group degree {H.degree} != arity {ball.d}")
     defects, violations = [], []
     for v, sigma in sorted(panel_map(ball, g).items()):
         if F.membership(sigma):

@@ -49,19 +49,16 @@ class Permutation:
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
         """Build from 0-indexed cycles."""
         images = list(range(degree))
+        seen = set()  # points of every cycle so far, 1-cycles included
         for cycle in cycles:
             cycle = list(cycle)
-            points = set()
             for a in cycle:
                 if not 0 <= a < degree:
                     raise InputError(f"cycle point {a + 1} out of range for degree {degree}")
-                if a in points:
+                if a in seen:
                     raise InputError(f"point {a + 1} repeated in cycle notation")
-                points.add(a)
-            # a point moved by an earlier cycle is repeated across cycles
+                seen.add(a)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if images[a] != a:
-                    raise InputError(f"point {a + 1} repeated in cycle notation")
                 images[a] = b
         return cls(images)
 

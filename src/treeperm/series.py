@@ -168,12 +168,12 @@ def _agemo_commutator_step(N: PermGroup, p: int) -> PermGroup:
     return PermGroup(N.degree, gens)
 
 
-def p_residual(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
+def p_residual(G: PermGroup, p: int) -> PermGroup:
     """O^p(G): limit of the descending series N_{i+1} = N_i^p [N_i, N_i]."""
-    return p_residual_series(G, p, caps)[-1]
+    return p_residual_series(G, p)[-1]
 
 
-def p_residual_series(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> list[PermGroup]:
+def p_residual_series(G: PermGroup, p: int) -> list[PermGroup]:
     """The whole descending series G = N_0 > N_1 > ... > O^p(G)."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -246,7 +246,7 @@ def tate_check(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> TateReport:
     S = sylow_subgroup(G, p, caps)
     rank_s = frattini_quotient_rank(S, p)
     # the series starts G > G^p[G,G], so its first index is the Frattini quotient
-    series = p_residual_series(G, p, caps)
+    series = p_residual_series(G, p)
     rank_g = _log_p(G.order() // series[1].order(), p) if len(series) > 1 else 0
     residual = series[-1]
     inter = S.intersection(residual, caps)

@@ -12,8 +12,8 @@ generator's local actions are read off its leaf permutation, which must
 be a tree automorphism with all local actions in F, so the group lies in
 W_n(F).  Lower bound: the orbits of the chain that sifting the
 generators builds multiply to at most the group order.  When they reach
-the formula the chain is complete; otherwise full Schreier-Sims decides,
-and a chain short of the formula raises AssertionError.
+the formula the chain is complete; otherwise Schreier-Sims completes the
+same chain, and a chain short of the formula raises AssertionError.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from treeperm import groups
-from treeperm.bsgs import StabilizerChain, reduce_generators
+from treeperm.bsgs import StabilizerChain, _Level, reduce_generators
 from treeperm.groups import PermGroup, closure_elements, symmetric
 from treeperm.lattice import cone_bits, rist
 from treeperm.localact import Graft, ball_stabilizer_group
@@ -148,16 +148,88 @@ def test_up_to_order_agrees_with_schreier_sims():
     check()
 
 
-def test_up_to_order_falls_back_when_sifting_falls_short(monkeypatch):
+def test_up_to_order_completes_in_place_when_sifting_falls_short(monkeypatch):
     # sifting (1 2) and (1 2 3 4 5 6) gives orbits of 6 and 5, product 30
     gens = [parse_cycles(c, 6).images for c in ("(1 2)", "(1 2 3 4 5 6)")]
-    rebuilt = []
+    built, rebuilt = [], []
+    init = StabilizerChain.__init__
+    monkeypatch.setattr(StabilizerChain, "__init__",
+                        lambda self, degree: built.append(degree) or init(self, degree))
     real = StabilizerChain.from_generators.__func__
     monkeypatch.setattr(StabilizerChain, "from_generators", classmethod(
         lambda cls, degree, gs: rebuilt.append(degree) or real(cls, degree, gs)))
     chain = StabilizerChain.up_to_order(6, gens, 720)
-    assert chain.order() == 720 and rebuilt == [6]
+    assert chain.order() == 720 and built == [6] and rebuilt == []
     assert chain.contains(parse_cycles("(1 3)(2 5 6)", 6).images)
+
+
+def _grow_orbit_two_loops(lev, old_points, old_gens):
+    """Orbit growth as two walks, new generators over the scanned points
+    and then every generator over the rest: the oracle for the single
+    walk of `StabilizerChain._grow_orbit`."""
+    gens = lev.gens
+    orbit = lev.orbit
+    tr = lev.transversal
+    itr = lev.inv_transversal
+    # new generators applied to already-scanned points
+    for idx in range(old_points):
+        u = orbit[idx]
+        tu = tr[u]
+        for g in gens[old_gens:]:
+            v = g[u]
+            if v not in tr:
+                tv = _compose(g, tu)
+                tr[v] = tv
+                itr[v] = _invert(tv)
+                orbit.append(v)
+    # all generators applied to unscanned points
+    idx = old_points
+    while idx < len(orbit):
+        u = orbit[idx]
+        tu = tr[u]
+        for g in gens:
+            v = g[u]
+            if v not in tr:
+                tv = _compose(g, tu)
+                tr[v] = tv
+                itr[v] = _invert(tv)
+                orbit.append(v)
+        idx += 1
+
+
+def test_grow_orbit_walks_as_the_two_loop_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    perms = lambda n: st.permutations(range(n)).map(tuple)
+    # each batch: new generators, and how far below the scanned points
+    # and generators the watermarks passed to the walk fall
+    batches = lambda n: st.lists(st.tuples(
+        st.lists(perms(n), min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2)),
+        min_size=1, max_size=4)
+    cases = st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1), batches(n)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        n, point, steps = case
+        ident = tuple(range(n))
+        walked, oracle = _Level(point, ident), _Level(point, ident)
+        for batch, points_back, gens_back in steps:
+            old_points = max(0, len(walked.orbit) - points_back)
+            old_gens = max(0, len(walked.gens) - gens_back)
+            for lev, grow in ((walked, StabilizerChain._grow_orbit),
+                              (oracle, _grow_orbit_two_loops)):
+                lev.gens.extend(batch)
+                grow(lev, old_points, old_gens)
+            assert walked.orbit == oracle.orbit
+            assert list(walked.transversal.items()) == list(oracle.transversal.items())
+            assert list(walked.inv_transversal.items()) \
+                == list(oracle.inv_transversal.items())
+            assert all(g[u] in walked.transversal for u in walked.orbit for g in walked.gens)
+            assert all(walked.transversal[u][point] == u for u in walked.orbit)
+
+    check()
 
 
 def _check_bounded_against_full_pass(monkeypatch) -> list:

@@ -299,6 +299,16 @@ MALFORMED = {
                            "--out", "{tmp}"],
     "group-file-repeated-point": ["wreath", "build", "--base", "file:{tmp}/input",
                                   "--depth", "2"],
+    "group-file-repeated-fixed-point": ["wreath", "build", "--base", "file:{tmp}/input",
+                                        "--depth", "2"],
+    "defects-F-degree-mismatch": [
+        "ball", "defects", "--d", "3", "--radius", "2", "--F", "Sym(4)", "--Fprime", "Sym(4)",
+        "--element", json.dumps({"vertex_images": [0, 1, 2, 3, 5, 4, 6, 7, 8, 9]})],
+    "defects-Fprime-degree-mismatch": [
+        "ball", "defects", "--d", "3", "--radius", "2", "--F", "Sym(3)", "--Fprime", "Sym(4)",
+        "--element", json.dumps({"vertex_images": [0, 1, 2, 3, 5, 4, 6, 7, 8, 9]})],
+    "element-boolean-image": DEFECTS + [
+        "--radius", "1", "--element", json.dumps({"vertex_images": [0, True, 2, 3]})],
     "element-cap-negative": TATE + ["--element-cap", "-5"],
     "subgroup-cap-negative": ["criteria", "survey", "--d", "4", "--subgroup-cap", "-3"],
     "leaf-cap-negative": ["wreath", "build", "--base", "Klein4", "--depth", "2",
@@ -339,6 +349,12 @@ ERROR_TEXT = {
     "out-is-a-directory": "error: --out: cannot write {tmp}: Is a directory\n",
     # a point repeated within one cycle, even next to itself
     "group-file-repeated-point": "error: line 2: point 2 repeated in cycle notation\n",
+    # or across cycles, when it first appears as a 1-cycle
+    "group-file-repeated-fixed-point": "error: line 2: point 1 repeated in cycle notation\n",
+    # ball defects checks its local groups and its element as ball group does
+    "defects-F-degree-mismatch": "error: local group degree 4 != arity 3\n",
+    "defects-Fprime-degree-mismatch": "error: local group degree 4 != arity 3\n",
+    "element-boolean-image": "error: --element: vertex images must be integers, not booleans\n",
     # a negative cap names its flag
     "element-cap-negative": "error: --element-cap must be non-negative, got -5\n",
     "subgroup-cap-negative": "error: --subgroup-cap must be non-negative, got -3\n",
@@ -359,6 +375,7 @@ INPUT_FILES = {
     "group-file-not-utf8": b"degree: 3\ngen: (1 2)\xff\n",
     "out-under-a-file": b"",
     "group-file-repeated-point": b"degree: 3\ngen: (1 2 2)\n",
+    "group-file-repeated-fixed-point": b"degree: 3\ngen: (1)(1 2)\n",
 }
 
 
@@ -371,10 +388,10 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    if "vertex_images" in argv[-1]:
-        assert "not an automorphism" in err
     if case in ERROR_TEXT:
         assert err == ERROR_TEXT[case].replace("{tmp}", str(tmp_path))
+    elif "vertex_images" in argv[-1]:
+        assert "not an automorphism" in err
 
 
 def test_zero_caps_stay_legal(capsys):

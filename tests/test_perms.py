@@ -77,8 +77,10 @@ def test_parse_errors_are_located():
         parse_cycles("(0 1)", 3)  # 1-indexed at the boundary
     with pytest.raises(InputError, match="repeated"):
         parse_cycles("(1 2)(2 3)", 3)
-    # a point repeated within one cycle, adjacent or not
-    for text, point in [("(1 2 2)", 2), ("(1 1)", 1), ("(3 1 2 2)", 2), ("(1 2 1)", 1)]:
+    # a point repeated within one cycle, adjacent or not,
+    # or across cycles, a 1-cycle's fixed point included
+    for text, point in [("(1 2 2)", 2), ("(1 1)", 1), ("(3 1 2 2)", 2), ("(1 2 1)", 1),
+                        ("(1)(1 2)", 1), ("(2)(1 2 3)", 2), ("(1)(1)", 1), ("(1 2)(1)", 1)]:
         with pytest.raises(InputError, match=f"^point {point} repeated in cycle notation$"):
             parse_cycles(text, 3)
     assert parse_cycles("(1)", 3).is_identity()
