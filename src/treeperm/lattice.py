@@ -20,7 +20,7 @@ from itertools import groupby
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import Permutation, _compose
 from .wreath import (WreathTower, _interior_vertices, rigid_stabilizer, tower_order,
                      vertex_generator)
 
@@ -150,7 +150,7 @@ class PairCheck:
 
 
 def _commute_groupwise(A: PermGroup, B: PermGroup) -> bool:
-    return all((a * b).images == (b * a).images
+    return all(_compose(a.images, b.images) == _compose(b.images, a.images)
                for a in A.generators for b in B.generators)
 
 

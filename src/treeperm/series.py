@@ -97,13 +97,27 @@ def sylow_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
     Starts from a p-element of maximal order and repeatedly adjoins
     p-elements of the normalizer until the p-part of |G| is reached.
     Returns the trivial group when p does not divide |G|.
+
+    Scans H <= G, not G (Seress, *Permutation Group Algorithms*, §4.7):
+    while the smallest point b moved by H has an orbit of length prime
+    to p, a Sylow p-subgroup of H_b is one of G, and H becomes H_b.  H
+    fixes every point below b, so H_b leads H's sorted element list and,
+    by induction, G's.  H holds a Sylow subgroup of G, so the first
+    p-element of maximal order and, at each step, the first normalizing
+    p-element outside S lie in that block, so a scan of all of G picks them too.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     target = p_part(G.order(), p)
     if target == 1:
         return PermGroup(G.degree, [], name=f"Sylow_{p}(trivial)")
-    elements = G.elements(caps)
+    H = G
+    while True:
+        b = min(i for g in H.generators for i, x in enumerate(g.images) if x != i)
+        if len(H.orbit(b)) % p == 0:
+            break
+        H = H.point_stabilizer(b)
+    elements = H.elements(caps)
     p_elements = []
     best, best_order = None, 1
     for x in elements:

@@ -225,8 +225,16 @@ def ball_to_json(ball: TreeBall) -> dict:
     return {"d": ball.d, "radius": ball.radius, "center": ball.center_kind, "edges": edges}
 
 
+def _is_int(value) -> bool:
+    """An integer as JSON reads one: bool is an int subclass, so refuse it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def coloring_from_json(ball: TreeBall, data: dict) -> TreeBall:
     """Recolor `ball` from a JSON ball document with matching shape."""
+    for key in ("d", "radius"):
+        if key in data and not _is_int(data[key]):
+            raise InputError(f"coloring file: {key!r} {data[key]!r} is not an integer")
     if data.get("d") != ball.d or data.get("radius") != ball.radius \
             or data.get("center") != ball.center_kind:
         raise InputError("coloring file does not match the ball shape")
@@ -239,12 +247,16 @@ def coloring_from_json(ball: TreeBall, data: dict) -> TreeBall:
         if not isinstance(rec, dict):
             raise InputError(f"coloring file: edge record {rec!r} is not an object")
         eid = rec.get("id")
-        if not isinstance(eid, int) or eid not in directed:
+        if not _is_int(eid):
+            raise InputError(f"coloring file: edge id {eid!r} is not an integer")
+        if eid not in directed:
             raise InputError(f"unknown edge id {eid} in coloring file")
+        if directed[eid] in edge_colors:
+            raise InputError(f"coloring file: edge id {eid} appears twice")
         if "color" not in rec:
             raise InputError(f"edge id {eid} has no color")
         color = rec["color"]
-        if not isinstance(color, int) or isinstance(color, bool):
+        if not _is_int(color):
             raise InputError(f"edge id {eid}: color {color!r} is not an integer")
         edge_colors[directed[eid]] = color - 1
     return coloring_from_edges(ball, edge_colors)

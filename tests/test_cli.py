@@ -281,6 +281,10 @@ MALFORMED = {
     "color-edge-not-object": COLOR_FILE,
     "color-id-is-list": COLOR_FILE,
     "color-not-integer": COLOR_FILE,
+    "color-id-boolean": COLOR_FILE,
+    "color-id-repeated": COLOR_FILE,
+    "color-radius-boolean": COLOR_FILE,
+    "color-d-float": COLOR_FILE,
     "group-file-is-directory": ["wreath", "build", "--base", "file:{tmp}", "--depth", "2"],
     "group-file-not-utf8": ["wreath", "build", "--base", "file:{tmp}/input", "--depth", "2"],
     "family-dih-too-small": ["tate", "verify", "--group", "Dih(2)", "--p", "2"],
@@ -355,6 +359,12 @@ ERROR_TEXT = {
     "defects-F-degree-mismatch": "error: local group degree 4 != arity 3\n",
     "defects-Fprime-degree-mismatch": "error: local group degree 4 != arity 3\n",
     "element-boolean-image": "error: --element: vertex images must be integers, not booleans\n",
+    # a coloring file's ids and shape are integers, not booleans or floats,
+    # and each edge id is given once
+    "color-id-boolean": "error: coloring file: edge id True is not an integer\n",
+    "color-id-repeated": "error: coloring file: edge id 1 appears twice\n",
+    "color-radius-boolean": "error: coloring file: 'radius' True is not an integer\n",
+    "color-d-float": "error: coloring file: 'd' 3.0 is not an integer\n",
     # a negative cap names its flag
     "element-cap-negative": "error: --element-cap must be non-negative, got -5\n",
     "subgroup-cap-negative": "error: --subgroup-cap must be non-negative, got -3\n",
@@ -372,6 +382,11 @@ INPUT_FILES = {
     "color-edge-not-object": json.dumps({**SHAPE, "edges": [1]}).encode(),
     "color-id-is-list": json.dumps({**SHAPE, "edges": [{"id": [0], "color": 1}]}).encode(),
     "color-not-integer": json.dumps({**SHAPE, "edges": [{"id": 0, "color": "red"}]}).encode(),
+    "color-id-boolean": json.dumps({**SHAPE, "edges": [{"id": True, "color": 1}]}).encode(),
+    "color-id-repeated": json.dumps({**SHAPE, "edges": [{"id": 1, "color": 1},
+                                                        {"id": 1, "color": 2}]}).encode(),
+    "color-radius-boolean": json.dumps({**SHAPE, "radius": True, "edges": []}).encode(),
+    "color-d-float": json.dumps({**SHAPE, "d": 3.0, "edges": []}).encode(),
     "group-file-not-utf8": b"degree: 3\ngen: (1 2)\xff\n",
     "out-under-a-file": b"",
     "group-file-repeated-point": b"degree: 3\ngen: (1 2 2)\n",

@@ -7,6 +7,7 @@ A deliberate output change updates the digest in the same commit.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -92,6 +93,10 @@ GOLDEN = [
     ("criteria survey --d 6 --transitive-only", 0, "8994bbe9fb1440ffe0a7b57b7f26fc8f265202961fa61d4327f97864f6d7716a"),
     ("series op --group Sym(7) --kind sylow --p 3", 0, "9c68097abfff21250f1d0e32e32c7e6791a138f05c0010fbc599c62d176e4e8c"),
     ("tate verify --group Sym(5) --p 3", 0, "8744772e4e7d0e3ef19bc935a4b419006500a1bfe3e763846edc6416fe4a713b"),
+    # Sylow scans of point stabilizers: Sym(8) at p = 3 scans Sym(7), and
+    # Sym(9) at p = 2 scans Sym(8), under the default element cap
+    ("series op --group Sym(8) --kind sylow --p 3", 0, "30e469b94deb3d5629e0294c6b6dca8fc731e95b843d016c4e59b4ceb4207138"),
+    ("series op --group Sym(9) --kind sylow --p 2", 0, "939a450384a8ab2f7270f7b9a58c43aece5a0be99e8d3c85208892d6c87cddd7"),
 ]
 
 
@@ -102,6 +107,15 @@ def test_cli_output_digest(capsys, command, exit_code, digest):
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith('  "wall_time_ms": '))
     assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
+def test_sym9_sylow_runs_under_the_element_cap(capsys):
+    assert main("series op --group Sym(9) --kind sylow --p 2".split()) == 0
+    subgroup = json.loads(capsys.readouterr().out)["result"]["subgroup"]
+    assert subgroup["order"] == 128
+    # what the scan over all of Sym(9) prints under --element-cap 400000
+    assert subgroup["generators"] == ["(2 3 4 5 6 7 8 9)", "(3 5)(4 8)(7 9)", "(3 7)(5 9)",
+                                      "(4 8)(5 9)", "(5 9)"]
 
 
 BALL_R2 = "ball group --d 3 --radius 2 --F Sym(3)"
@@ -123,6 +137,10 @@ REFUSALS = [
     ("ball group --d 3 --radius 4 --F Sym(3)",
      "error: ball group order cap exceeded: requested 12582912, cap 10000000 "
      "(raise with --ball-order-cap (or reduce the radius))\n"),
+    # 2 divides the orbit length 10, so the Sylow scan runs over all of Sym(10)
+    ("series op --group Sym(10) --kind sylow --p 2",
+     "error: element enumeration cap exceeded: requested 100001, cap 100000 "
+     "(raise with --element-cap)\n"),
 ]
 
 

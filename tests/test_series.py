@@ -3,12 +3,14 @@
 import pytest
 
 from treeperm.errors import InputError
-from treeperm.groups import PermGroup, alternating, cyclic, dihedral, symmetric, trivial
+from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, symmetric,
+                             trivial)
 from treeperm.perms import Permutation, parse_cycles
 from treeperm.series import (frattini_quotient_rank, is_prime, p_part, p_residual,
                              p_residual_oracle, pi_core, prime_factors,
                              sylow_subgroup, tate_check, verify_normal)
 from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+from treeperm.wreath import wreath_tower
 
 
 def test_prime_helpers():
@@ -51,6 +53,75 @@ def test_sylow_characterization_over_sym4_classes():
             assert S.order() == p_part(cls.order, p)
             assert (cls.order // S.order()) % p != 0
             assert S.is_subgroup_of(cls.rep)
+
+
+def _sylow_scan_oracle(G, p):
+    """The greedy scan over every element of G, with no stabilizer reduction."""
+    target = p_part(G.order(), p)
+    if target == 1:
+        return PermGroup(G.degree, [])
+    p_elements = [x for x in G.elements() if x.order() > 1 and p_part(x.order(), p) == x.order()]
+    S = PermGroup(G.degree, [max(p_elements, key=Permutation.order)])  # first of maximal order
+    while S.order() < target:
+        y = next(y for y in p_elements if not S.membership(y)
+                 and all(S.membership(y * s * y.inverse()) for s in S.generators))
+        S = PermGroup(G.degree, list(S.generators) + [y])
+    return S
+
+
+def assert_sylow_matches_scan_oracle(G):
+    for p in prime_factors(G.order()):
+        got = sylow_subgroup(G, p)
+        assert [g.images for g in got.generators] == \
+            [g.images for g in _sylow_scan_oracle(G, p).generators], (G.name, p)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sylow_matches_scan_oracle_over_subgroup_classes(n):
+    for cls in enumerate_subgroups_up_to_conjugacy(symmetric(n)):
+        assert_sylow_matches_scan_oracle(cls.rep)
+
+
+NAMED = {"Sym(7)": lambda: symmetric(7), "Alt(7)": lambda: alternating(7),
+         "Sym(8)": lambda: symmetric(8), "Alt(8)": lambda: alternating(8),
+         "W_2(Sym(3))": lambda: wreath_tower(symmetric(3), 2).group,
+         "W_3(Sym(2))": lambda: wreath_tower(symmetric(2), 3).group,
+         "W_2(Klein4)": lambda: wreath_tower(klein4(), 2).group}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_sylow_matches_scan_oracle_on_named_groups(name):
+    assert_sylow_matches_scan_oracle(NAMED[name]())
+
+
+def test_sylow_matches_scan_oracle_on_random_groups():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    perms = lambda n: st.permutations(range(n)).map(Permutation)
+    groups = st.integers(2, 7).flatmap(lambda n: st.lists(perms(n), min_size=1, max_size=3))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(groups)
+    def check(gens):
+        assert_sylow_matches_scan_oracle(PermGroup(gens[0].degree, gens))
+
+    check()
+
+
+def test_sylow_scans_the_smallest_moved_point_stabilizer(monkeypatch):
+    # Sym(7) at p = 3: the orbit of 0 has length 7, prime to 3, so the
+    # scan runs over Sym(6) = Sym(7)_0; the orbit of 1 there has length 6
+    seen = []
+    elements = PermGroup.elements
+
+    def spy(self, *args):
+        out = elements(self, *args)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(PermGroup, "elements", spy)
+    assert sylow_subgroup(symmetric(7), 3).order() == 9
+    assert seen == [720]
 
 
 def test_pi_core_examples():
