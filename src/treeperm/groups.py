@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .bsgs import StabilizerChain, _schreier_generators, reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError, read_input_file
-from .perms import Permutation, _compose, _invert, commutator, parse_cycles
+from .perms import Permutation, _compose, _invert, _trusted, commutator, parse_cycles
 
 
 class PermGroup:
@@ -301,13 +301,8 @@ def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None)
 def closure_elements(degree: int, gens: Sequence[Permutation], cap: int) -> list[Permutation]:
     """Exhaustive closure oracle: `_bfs` from the identity over image tuples."""
     out = _bfs(tuple(range(degree)), [g.images for g in gens], _compose, cap)
-    # products of permutations need no bijection check: wrap each once
-    wrapped = []
-    for u in out:
-        p = Permutation.__new__(Permutation)
-        p.images = u
-        wrapped.append(p)
-    return wrapped
+    # products of permutations need no bijection check
+    return [_trusted(u) for u in out]
 
 
 # -- named families and group specs -----------------------------------------

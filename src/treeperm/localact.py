@@ -27,7 +27,7 @@ from typing import Sequence
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import Permutation, _trusted
 from .treeball import TreeBall, is_legal
 
 
@@ -56,11 +56,11 @@ def local_action(ball: TreeBall, g: Permutation, v: int) -> Permutation:
 def _local_action(ball: TreeBall, g: tuple, v: int) -> tuple:
     """sigma(g, v) as a color image tuple, for a colored ball and raw g."""
     w = g[v]
-    if not ball.is_interior(v) or not ball.is_interior(w):
+    inside = ball.interior_flags
+    if not (inside[v] and inside[w]):
         raise InputError(f"local action undefined: vertex {v} or image {w} is not interior")
-    nbr = ball.nbr_by_color[v]
     color = ball.color_of[w]
-    return tuple([color[g[nbr[c]]] for c in range(ball.d)])
+    return tuple([color[g[u]] for u in ball.nbrs_in_color_order[v]])
 
 
 def panel_map(ball: TreeBall, g: Permutation) -> dict[int, Permutation]:
@@ -399,9 +399,11 @@ def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
 
 def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = False
                              ) -> Permutation:
-    """Uniform element of the graft's panel-constrained group (product measure)."""
+    """Uniform element of the graft's panel-constrained group (product measure).
+    A placement is a ball automorphism by construction: it skips the bijection
+    check.  `rng.choice` draws as `rng.randrange` of the panel count does."""
     images = graft._roots(swap)
+    choice = rng.choice
     for step in graft.plan:
-        panels = graft._panels(step, images)
-        graft._place(step, panels[rng.randrange(len(panels))], images)
-    return Permutation(images)
+        graft._place(step, choice(graft._panels(step, images)), images)
+    return _trusted(tuple(images))

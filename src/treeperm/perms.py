@@ -73,14 +73,10 @@ class Permutation:
         """Composition: (a * b)(x) = a(b(x))."""
         if self.degree != other.degree:
             raise InputError(f"degree mismatch: {self.degree} vs {other.degree}")
-        p = Permutation.__new__(Permutation)
-        p.images = _compose(self.images, other.images)
-        return p
+        return _trusted(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        p = Permutation.__new__(Permutation)
-        p.images = _invert(self.images)
-        return p
+        return _trusted(_invert(self.images))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -148,6 +144,14 @@ class Permutation:
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
+
+
+def _trusted(images: tuple) -> Permutation:
+    """Wrap an image tuple known to be a bijection, such as a product, an
+    inverse or a graft placement, without the check of `Permutation()`."""
+    p = Permutation.__new__(Permutation)
+    p.images = images
+    return p
 
 
 def commutator(g: Permutation, h: Permutation) -> Permutation:

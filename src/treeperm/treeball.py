@@ -12,6 +12,7 @@ by its generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
@@ -39,11 +40,24 @@ class TreeBall:
             out.append(self.parent[v])
         return out
 
+    @cached_property
+    def interior_flags(self) -> list[bool]:
+        """Per vertex: are all d of its neighbors in the ball?"""
+        return [len(kids) + (par is not None) == self.d
+                for kids, par in zip(self.children, self.parent)]
+
+    @cached_property
+    def nbrs_in_color_order(self) -> list[tuple[int, ...] | None]:
+        """Per interior vertex of a colored ball, its neighbors in color
+        order 0..d-1; None at the boundary."""
+        return [tuple(nbr[c] for c in range(self.d)) if inside else None
+                for nbr, inside in zip(self.nbr_by_color, self.interior_flags)]
+
     def is_interior(self, v: int) -> bool:
-        return len(self.children[v]) + (self.parent[v] is not None) == self.d
+        return self.interior_flags[v]
 
     def interior_vertices(self) -> list[int]:
-        return [v for v in range(self.n_vertices) if self.is_interior(v)]
+        return [v for v, inside in enumerate(self.interior_flags) if inside]
 
     def is_colored(self) -> bool:
         return self.color_of is not None

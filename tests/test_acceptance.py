@@ -5,9 +5,14 @@ Each criterion prints its PASS/FAIL line; all must pass within budget.
 
 import pytest
 
-from treeperm.acceptance import (ALL_CRITERIA, criterion_04_wreath_sylow_tower,
-                                 criterion_05_wreath_order_law, criterion_10_no_cocompact,
-                                 criterion_11_lattice)
+from treeperm.acceptance import (ALL_CRITERIA, criterion_01_tate_sweep,
+                                 criterion_02_residual_oracle, criterion_03_sylow,
+                                 criterion_04_wreath_sylow_tower,
+                                 criterion_05_wreath_order_law, criterion_06_cocycle,
+                                 criterion_07_ball_order_formula,
+                                 criterion_08_edge_ball_decomposition, criterion_09_survey,
+                                 criterion_10_no_cocompact, criterion_11_lattice,
+                                 criterion_12_eta)
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
@@ -36,3 +41,35 @@ TOWER_DETAILS = [
                          ids=[fn.__name__ for fn, _ in TOWER_DETAILS])
 def test_tower_criterion_detail(criterion, detail):
     assert criterion().detail == detail
+
+
+# The other criteria's detail strings, so that all twelve selftest lines
+# are pinned.  Criterion 6 counts its seeded samples, not their values:
+# its draw order is pinned by test_localact's sample digest.
+CRITERION_DETAILS = [
+    (criterion_01_tate_sweep, "30 (class, prime) pairs over 19 classes, 0 violations"),
+    (criterion_02_residual_oracle,
+     "30 (class, prime) pairs, descending series == <p'-elements>"),
+    (criterion_03_sylow, "142 (group, prime) pairs over Sym(2..6) subgroup classes"),
+    (criterion_06_cocycle, "8000 random pairs across 8 configurations, 0 violations"),
+    (criterion_07_ball_order_formula,
+     "exhaustive == |F|*|F_a|^m for d3r1:Sym(3)=6, d3r2:Sym(3)=48, d3r1:Cyc(3)=3, "
+     "d3r2:Cyc(3)=3, d4r1:Sym(4)=24, d4r1:Alt(4)=12, d4r1:Dih(4)=8"),
+    (criterion_08_edge_ball_decomposition,
+     "r=1: 4 = 2^2, swap index 2; r=2: 64 = 8^2, swap index 2"),
+    (criterion_09_survey,
+     "5 transitive classes; gen-by-stabs = {D5, F20, A5, S5}; (Alt(5), Sym(5)) "
+     "nondiscrete + virtually simple + robust, oracle-verified"),
+    (criterion_12_eta, "12 transitive classes over d in 3..5; depth-2/3 estimates stable"),
+]
+
+
+@pytest.mark.parametrize("criterion, detail", CRITERION_DETAILS,
+                         ids=[fn.__name__ for fn, _ in CRITERION_DETAILS])
+def test_criterion_detail(criterion, detail):
+    assert criterion().detail == detail
+
+
+def test_every_criterion_detail_is_pinned():
+    pinned = [fn for fn, _ in TOWER_DETAILS + CRITERION_DETAILS]
+    assert sorted(pinned, key=ALL_CRITERIA.index) == list(ALL_CRITERIA)

@@ -12,8 +12,8 @@ from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
                              trivial)
 from treeperm import acceptance, wreath
-from treeperm.localact import (Graft, ball_stabilizer_group, defect_set, edge_ball_group,
-                               half_ball_rigid_stabilizers, in_Uc,
+from treeperm.localact import (Graft, _local_action, ball_stabilizer_group, defect_set,
+                               edge_ball_group, half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
                                random_ball_automorphism)
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
@@ -190,6 +190,70 @@ def test_seeded_samples_are_pinned():
             digest.update(repr(g.images).encode())
     assert digest.hexdigest() == \
         "a5d5088ec23881877a01c7ecb27b77329e4aa966fa67178acac108078d6ca5fc"
+
+
+# criterion 6's eight configurations, then an edge-centered ball both ways
+SAMPLER_CASES = [(d, r, "vertex", f"{family}({d})", False)
+                 for d in (3, 4) for r in (1, 2) for family in ("Sym", "Alt")] + \
+    [(3, 2, "edge", "Sym(3)", False), (3, 2, "edge", "Sym(3)", True)]
+
+
+@pytest.mark.parametrize("d, r, center, spec, swap", SAMPLER_CASES,
+                         ids=[f"d{d}r{r}-{c}-{s}" + ("-swap" if w else "")
+                              for d, r, c, s, w in SAMPLER_CASES])
+def test_samples_are_ball_automorphisms_with_panels_in_F(d, r, center, spec, swap):
+    # the sampler wraps its placements without the bijection check
+    b = ball(d, r, center)
+    F = parse_group_spec(spec)
+    graft = Graft(b, F)
+    rng = random.Random(d * 10 + r)
+    for _ in range(200):
+        g = random_ball_automorphism(graft, rng, swap=swap)
+        # check the images, not g: the cycles of a non-bijection never close
+        images = g.images
+        assert sorted(images) == list(range(b.n_vertices))
+        assert is_ball_automorphism(b, g)
+        assert in_Uc(b, g, F)
+
+
+def oracle_is_interior(b, v):
+    return len(b.children[v]) + (b.parent[v] is not None) == b.d
+
+
+def oracle_local_action(b, g, v):
+    nbr = b.nbr_by_color[v]
+    color = b.color_of[g[v]]
+    return tuple([color[g[nbr[c]]] for c in range(b.d)])
+
+
+def test_ball_tables_agree_with_their_oracles():
+    rng = random.Random(11)
+    for d in (3, 4, 5):
+        for r in range(4):
+            for center in ("vertex", "edge"):
+                plain = build_ball(d, r, center)
+                flags = [oracle_is_interior(plain, v) for v in range(plain.n_vertices)]
+                for b in (plain, legal_coloring(plain), random_legal_coloring(plain, rng)):
+                    assert b.interior_flags == flags
+                    assert b.interior_vertices() == [v for v, f in enumerate(flags) if f]
+                    if not b.is_colored():
+                        continue
+                    graft = Graft(b, symmetric(d))
+                    for swap in {False, center == "edge"}:
+                        for _ in range(2):
+                            g = random_ball_automorphism(graft, rng, swap).images
+                            for v in b.interior_vertices():
+                                assert _local_action(b, g, v) == oracle_local_action(b, g, v)
+
+
+def test_a_colored_copy_keeps_its_own_tables():
+    plain = build_ball(3, 2)
+    flags = plain.interior_flags
+    colored = legal_coloring(plain)
+    assert colored.parent is plain.parent and colored.children is plain.children
+    assert colored.interior_flags == flags and colored.interior_flags is not flags
+    assert colored.nbrs_in_color_order[0] == (1, 2, 3)
+    assert "nbrs_in_color_order" not in vars(plain)
 
 
 def test_criterion_6_builds_one_graft_per_configuration(monkeypatch):
