@@ -7,14 +7,19 @@ criteria.
 
 One breadth-first search, `_bfs`, walks every orbit and closure here:
 point orbits, the element closure behind `elements` (under the element
-cap), the conjugacy classes of `normal_core`, and the subgroup
-conjugacy orbits of `subgroups`.
+cap), the conjugacy classes of `normal_core` (each abandoned at its
+first conjugate outside U), and the subgroup conjugacy orbits of
+`subgroups`.
 
-Centralizers, intersections and normal cores are element scans on raw
-image tuples.  A scan has counted its subgroup exactly, so it passes
-the count to `from_elements` as the proved order: sifting stops once
-the chain reaches it, and a chain that ends elsewhere raises.  Point
-stabilizers stop at |G| / |orbit| and are cached per point.
+Centralizers come from a base-image backtrack over the group's own
+chain, pruned by the images that commuting with H forces.  An
+intersection is the smaller group when that lies in the larger, and an
+element scan of the smaller one otherwise; normal cores scan U.  All of
+these work on raw image tuples and count their subgroup exactly, so
+they pass the count to `from_elements` as the proved order: sifting
+stops once the chain reaches it, and a chain that ends elsewhere
+raises.  Point stabilizers stop at |G| / |orbit| and are cached per
+point.
 """
 
 from __future__ import annotations
@@ -209,26 +214,25 @@ class PermGroup:
         """Largest normal subgroup of self contained in U.
 
         Exhaustive over U's elements: u survives iff its whole
-        conjugacy closure under self stays inside U.  The union of the
-        classes that do is the core, so its size is the proved order.
+        conjugacy closure under self stays inside U, and the closure is
+        abandoned at its first conjugate outside U.  The union of the
+        classes that survive is the core, so its size is the proved order.
         """
         self._require_subgroup(U, "normal_core")
         conjugators = [(g.images, _invert(g.images)) for g in self.generators]
         u_list = [p.images for p in U.elements(caps)]
         u_elems = set(u_list)
         core: list[tuple] = []
-        decided: set[tuple] = set()
+        in_core: set[tuple] = set()
         for u in u_list:
-            if u in decided:
+            if u in in_core:
                 continue
             # conjugacy class of u under self: x -> g x g^-1
-            cls = _bfs(u, conjugators, lambda x, c: _compose(_compose(c[0], x), c[1]))
-            if u_elems.issuperset(cls):
-                # the whole class lies in the core
+            cls = _bfs(u, conjugators, lambda x, c: _compose(_compose(c[0], x), c[1]),
+                       within=u_elems)
+            if cls is not None:
                 core.extend(sorted(cls))
-                decided.update(cls)
-            else:
-                decided.update(u_elems.intersection(cls))
+                in_core.update(cls)
         return PermGroup.from_elements(self.degree, core, len(core))
 
     def derived_subgroup(self) -> "PermGroup":
@@ -242,23 +246,88 @@ class PermGroup:
         return self.normal_closure(PermGroup(self.degree, comms))
 
     def centralizer(self, H: "PermGroup", caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """Centralizer of H in self, by exhaustive element scan."""
+        """Centralizer of H in self, by base-image backtrack on self's chain
+        (Seress, ch. 9).
+
+        An element is t_1 o ... o t_k, one transversal element per level,
+        so a partial product p of j of them fixes the images of the first
+        j base points.  An x commuting with H satisfies x(h(y)) = h(x(y)),
+        so x(b) = c forces x on the whole <H>-orbit of b: a branch dies
+        once that forced map stops being a well-defined injection, and a
+        base point whose image is already forced has a single branch.
+        Each leaf is tested against H's generators.  The leaves found are
+        sorted by image tuple, as a scan of `elements` would list them, and
+        their count is the proved order.  Leaves past `caps.element_cap`,
+        found or not, are refused as an element enumeration.
+        """
         if H.degree != self.degree:
             raise InputError("centralizer: degree mismatch")
         hs = [h.images for h in H.generators]
-        found = [g for g in (p.images for p in self.elements(caps))
-                 if all(_compose(g, h) == _compose(h, g) for h in hs)]
+        if not hs:
+            return self
+        levels = self.chain.levels
+        cap = caps.element_cap
+        img = [-1] * self.degree  # forced image of each point, -1 while free
+        pre = [-1] * self.degree  # the inverse of the forced map
+        trail: list[int] = []     # points forced so far, undone on return
+        found: list[tuple] = []
+        leaves = 0
+
+        def force(b: int, c: int) -> bool:
+            # b -> c and everything it forces along <H>; False on a clash
+            todo = [(b, c)]
+            for y, z in todo:
+                if img[y] == z:
+                    continue
+                if img[y] != -1 or pre[z] != -1:
+                    return False
+                img[y], pre[z] = z, y
+                trail.append(y)
+                todo.extend((h[y], h[z]) for h in hs)
+            return True
+
+        def search(j: int, p: tuple) -> None:
+            nonlocal leaves
+            if j == len(levels):
+                if leaves >= cap:
+                    raise ResourceLimitError("element enumeration", cap, leaves + 1,
+                                             "--element-cap")
+                leaves += 1
+                if all(_compose(p, h) == _compose(h, p) for h in hs):
+                    found.append(p)
+                return
+            lev = levels[j]
+            c = img[lev.point]
+            if c != -1:
+                # the image p(u) of the base point is forced: u = p^-1(c)
+                t = lev.transversal.get(p.index(c))
+                if t is not None:
+                    search(j + 1, _compose(p, t))
+                return
+            for u in lev.orbit:
+                mark = len(trail)
+                if force(lev.point, p[u]):
+                    search(j + 1, _compose(p, lev.transversal[u]))
+                while len(trail) > mark:
+                    y = trail.pop()
+                    pre[img[y]] = -1
+                    img[y] = -1
+        search(0, self.chain.ident)
+        found.sort()
         return PermGroup.from_elements(self.degree, found, len(found))
 
     def center(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
         return self.centralizer(self, caps)
 
     def intersection(self, other: "PermGroup", caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """Intersection by enumerating the smaller group under the element cap."""
+        """The smaller group when its generators lie in the larger one, else
+        by enumerating the smaller group under the element cap."""
         if other.degree != self.degree:
             raise InputError("intersection: degree mismatch")
         small, big = (self, other) if self.order() <= other.order() else (other, self)
         contains = big.chain.contains
+        if all(contains(g.images) for g in small.generators):
+            return small
         found = [g.images for g in small.elements(caps) if contains(g.images)]
         return PermGroup.from_elements(self.degree, found, len(found))
 
@@ -277,12 +346,15 @@ class PermGroup:
 
 # -- the one breadth-first search, no PermGroup machinery -----------------
 
-def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None) -> list:
+def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None,
+         within: set | None = None) -> list | None:
     """`start` and every value reached from it by `act(x, g)`, g in
     `gens`, in breadth-first discovery order (Holt-Eick-O'Brien, §4.1).
 
     With a `cap`, a new value arriving when `cap` values are already
     out is refused as an element enumeration past `--element-cap`.
+    With `within`, the walk gives up and returns None at the first new
+    value outside it.
     """
     out = [start]
     seen = {start}
@@ -290,6 +362,8 @@ def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None)
         for g in gens:
             y = act(x, g)
             if y not in seen:
+                if within is not None and y not in within:
+                    return None
                 if cap is not None and len(out) >= cap:
                     raise ResourceLimitError("element enumeration", cap, len(out) + 1,
                                              "--element-cap")

@@ -292,10 +292,13 @@ class Graft:
         """`bound`, once each generator is shown to be a ball automorphism
         with its local actions in F, fixing `fixed`: then the group lies in
         the graft set that `bound` counts."""
+        ball, in_F = self.ball, self.F.chain.contains
         for images in gens:
-            g = Permutation(images)
-            if not (is_ball_automorphism(self.ball, g) and in_Uc(self.ball, g, self.F)) \
-                    or any(g(v) != v for v in fixed):
+            g = _trusted(images)  # `_group` validated the tuple
+            if not (is_ball_automorphism(ball, g)
+                    and all(in_F(_local_action(ball, images, v))
+                            for v in ball.interior_vertices())
+                    and all(images[v] == v for v in fixed)):
                 raise AssertionError(f"ball generator {g.cycle_string()} is not "
                                      f"in the graft set of {self.F.name or 'F'}")
         return bound

@@ -111,7 +111,10 @@ class Permutation:
         return result
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, 0-indexed, each starting at its least point."""
+        """Nontrivial cycles, 0-indexed, each starting at its least point.
+
+        Raises ValueError on an image tuple that is not a bijection, such
+        as one wrapped unchecked by `_trusted`."""
         seen = set()
         out = []
         for i in range(self.degree):
@@ -120,6 +123,9 @@ class Permutation:
             cycle = [i]
             j = self.images[i]
             while j != i:
+                if j in seen:
+                    # the walk from i never returns to it
+                    raise ValueError(f"not a permutation: {self.images!r}")
                 seen.add(j)
                 cycle.append(j)
                 j = self.images[j]

@@ -39,6 +39,12 @@ GOLDEN = [
     ("lattice rist --tower Sym(4):2 --subset 1.1,1.2,1.3", 0, "3f9770b78371eedfdefc60997b6006e5007feecdbb5219cabec1c7556b0d2da5"),
     ("lattice rist --tower Alt(4):2 --subset 1.1,1.2,1.3,2", 0, "7288e33dfca82588146c7726c0a449d631fa05722d6268708a15c5a713abd26a"),
     ("lattice sweep --tower Sym(3):2", 0, "7c7cffb82f0dc32d71df5d0de444b4201b03a46e85e37644fc5451251e8d48f8"),
+    # the sweep with the most centralizer work, recorded on the element scan
+    ("lattice sweep --tower Sym(2):4", 0, "fe086ded9d9bf7fb1f1a1dc8b4de48afbc1f0e867b81e7413e99080b9cab96b0"),
+    # |W_2(Sym(3))| = 1296: at that cap every centralizer is decided; one
+    # below it the pair check's tower-order guard leaves them all null
+    ("lattice sweep --tower Sym(3):2 --element-cap 1296", 0, "8b41fe2f05ddad6c46bfd839487b9d7f7876741c360a69ae7df35c070c65e3fb"),
+    ("lattice sweep --tower Sym(3):2 --element-cap 1295", 0, "8dd7f5621b1085c3d555586ae7fcbc69485a5ea894ebf76c96fcad39661bc430"),
     ("criteria survey --d 5", 0, "064c7dcd98bab9d3aeb444d1f6f3f06003064cd757340e0567d284ea42fbce18"),
     ("tate verify --group Dih(6) --p 2", 0, "855b95379009344348de1120ff72010fed96cd6e86ff0ad52b48f5ee0e9e6ef2"),
     ("tate verify --group Sym(4) --p 2", 0, "8135ec8a66c29e6f6a61f6a0a298b08c32107ca2533e4a66ca0e1dccaaf8eac9"),

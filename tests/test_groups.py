@@ -10,7 +10,8 @@ from treeperm.groups import (PermGroup, alternating, closure_elements, cyclic,
                              dihedral, frobenius20, klein4, named_group,
                              parse_group_file, parse_group_spec, symmetric,
                              trivial)
-from treeperm.perms import Permutation, parse_cycles
+from treeperm.perms import Permutation, _compose, parse_cycles
+from treeperm.wreath import wreath_tower
 
 CORPUS = [
     trivial(1), trivial(4), cyclic(5), cyclic(6), klein4(), dihedral(4),
@@ -132,6 +133,105 @@ def test_intersection():
     assert S4.intersection(alternating(4)).order() == 12
     D4 = PermGroup(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(2 4)", 4)])
     assert D4.intersection(alternating(4)).order() == 4
+
+
+# -- scan oracles: the library's centralizer and intersection are checked ----
+
+def _centralizer_scan(G, H, caps=DEFAULT_CAPS):
+    """Centralizer of H in G by a scan of G's elements."""
+    hs = [h.images for h in H.generators]
+    found = [g for g in (p.images for p in G.elements(caps))
+             if all(_compose(g, h) == _compose(h, g) for h in hs)]
+    return PermGroup.from_elements(G.degree, found, len(found))
+
+
+def _intersection_scan(G, K, caps=DEFAULT_CAPS):
+    """G meet K by a scan of the smaller group's elements."""
+    small, big = (G, K) if G.order() <= K.order() else (K, G)
+    found = [g.images for g in small.elements(caps) if big.chain.contains(g.images)]
+    return PermGroup.from_elements(G.degree, found, len(found))
+
+
+def _moving(rng, n, points):
+    """A random permutation of `points`, fixing every other point of 0..n-1."""
+    images = list(range(n))
+    for a, b in zip(points, rng.sample(points, len(points))):
+        images[a] = b
+    return Permutation(images)
+
+
+def _random_cases(count, seed):
+    """(G, H) on at most 7 points: G from 1-3 generators, H from 0-3, each
+    generator moving a random set of points; H sometimes inside G."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 7)
+        moved = lambda: rng.sample(range(n), rng.randint(0, n))
+        G = PermGroup(n, [_moving(rng, n, moved()) for _ in range(rng.randint(1, 3))])
+        if i % 3 == 0:
+            H = PermGroup(n, [G.random_element(rng) for _ in range(i % 4)])
+        else:
+            H = PermGroup(n, [_moving(rng, n, moved()) for _ in range(i % 4)])
+        yield G, H
+
+
+def test_centralizer_backtrack_matches_scan_on_random_groups():
+    sizes, with_fixed_points = set(), 0
+    for G, H in _random_cases(240, 20):
+        C = G.centralizer(H)
+        sizes.add(len(H.generators))
+        if not H.generators:
+            # the trivial group centralizes all of G, which comes back as it is
+            assert C is G
+            continue
+        with_fixed_points += any(all(h(a) == a for h in H.generators) for a in range(G.degree))
+        oracle = _centralizer_scan(G, H)
+        assert C.generators == oracle.generators and C.order() == oracle.order()
+        assert C.chain.base() == oracle.chain.base()
+    assert sizes == {0, 1, 2, 3} and with_fixed_points > 20
+
+
+def test_centralizer_decides_past_the_element_cap():
+    # the center of W_n(Sym(2)), the 2-Sylow of Sym(2^n), has order 2;
+    # forced images leave one branch per first-level choice
+    for n in (5, 6):
+        T = wreath_tower(symmetric(2), n).group
+        assert T.order() > DEFAULT_CAPS.element_cap
+        Z = T.center()
+        assert Z.order() == 2
+        assert [g.images for g in Z.generators] == [tuple(i ^ 1 for i in range(2 ** n))]
+
+
+def test_centralizer_refuses_leaves_past_the_cap():
+    S5, H = symmetric(5), PermGroup(5, [parse_cycles("(1 2)", 5)])
+    caps = DEFAULT_CAPS.with_overrides(element_cap=12)
+    assert S5.centralizer(H, caps).order() == 12
+    with pytest.raises(ResourceLimitError) as info:
+        S5.centralizer(H, DEFAULT_CAPS.with_overrides(element_cap=11))
+    assert str(info.value) == ("element enumeration cap exceeded: requested 12, cap 11 "
+                               "(raise with --element-cap)")
+
+
+def test_intersection_matches_scan_on_random_groups():
+    rng = random.Random(21)
+    contained = 0
+    for i in range(200):
+        n = rng.randint(3, 7)
+        moved = lambda: rng.sample(range(n), rng.randint(2, n))
+        G = PermGroup(n, [_moving(rng, n, moved()) for _ in range(rng.randint(1, 2))])
+        K = PermGroup(n, [G.random_element(rng) if i % 3 == 0 else _moving(rng, n, moved())
+                          for _ in range(rng.randint(1, 2))])
+        meet = G.intersection(K)
+        oracle = _intersection_scan(G, K)
+        assert meet.order() == oracle.order() and meet.equals(oracle)
+        small = G if G.order() <= K.order() else K
+        if small.is_subgroup_of(G) and small.is_subgroup_of(K):
+            # containment returns the smaller side itself
+            assert meet is small
+            contained += 1
+        else:
+            assert meet.generators == oracle.generators
+    assert 40 < contained < 160
 
 
 def test_transitive_free_genstabs_for_c5():

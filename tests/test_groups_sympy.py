@@ -1,5 +1,6 @@
 """Differential checks against sympy.combinatorics on random groups of
-degree <= 7: the subgroup scans, the chain facts, the stabilizer cache;
+degree <= 7: centralizers of H with 1-3 generators, intersections,
+normal cores, the chain facts, the stabilizer cache;
 on the known-order chains of wreath towers with at most 64 leaves and
 of a few of their direct squares; and on the structural chains of the
 ball groups of the benchmark's pool."""
@@ -61,6 +62,12 @@ def test_scanned_subgroup_orders_match_sympy(case):
     g = G.random_element(rng)
     assert (G.centralizer(PermGroup(n, [g])).order()
             == SG.centralizer(SymGroup([SymPerm(list(g.images))])).order())
+    # H from 2-3 generators, drawn from G or from all of Sym(n)
+    for k in (2, 3):
+        hs = [G.random_element(rng) if rng.randrange(2) else Permutation(rng.sample(range(n), n))
+              for _ in range(k)]
+        assert (G.centralizer(PermGroup(n, hs)).order()
+                == SG.centralizer(SymGroup([SymPerm(list(h.images)) for h in hs])).order())
 
     # sympy's subgroup_search fails on the trivial group
     meet = SG.subgroup_search(SK.contains).order() if SG.order() > 1 else 1

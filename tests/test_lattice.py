@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from test_groups import _centralizer_scan, _intersection_scan
 from treeperm import cli, wreath
+from treeperm.config import DEFAULT_CAPS
 from treeperm.groups import PermGroup, symmetric, klein4
 from treeperm.lattice import (SubsetAlgebra, cone_bits, cone_union_pool, count_supported,
                               lattice_check_pair, lattice_sweep, rist)
 from treeperm.perms import parse_cycles
-from treeperm.wreath import wreath_tower
+from treeperm.wreath import tower_order, wreath_tower
 
 
 # -- exhaustive oracle: the library's rist is checked against these ------------
@@ -169,10 +171,30 @@ def test_sweep_intersection_count_matches_exhaustive(F, n):
     scanned = 0
     for c in lattice_sweep(T):
         if min(c.rist_a_order, c.rist_b_order) <= 5000:
-            exhaustive = rist_of(c.subset_a).intersection(rist_of(c.subset_b))
+            exhaustive = _intersection_scan(rist_of(c.subset_a), rist_of(c.subset_b))
             assert exhaustive.order() == c.intersection_order, (hex(c.subset_a), hex(c.subset_b))
             scanned += 1
     assert scanned > 0
+
+
+TOWERS_UNDER_CAP = [(F, n) for F, n in SWEEP_TOWERS
+                    if tower_order(F.order(), F.degree, n) <= DEFAULT_CAPS.element_cap]
+
+
+@pytest.mark.parametrize("F, n", TOWERS_UNDER_CAP,
+                         ids=[f"{F.name or 'gen:(1 2)'}:{n}" for F, n in TOWERS_UNDER_CAP])
+def test_centralizer_backtrack_matches_scan_on_sweep_rists(F, n):
+    T = wreath_tower(F, n)
+    for bits in cone_union_pool(T):
+        H = rist(T, bits)
+        C = T.group.centralizer(H)
+        oracle = _centralizer_scan(T.group, H)
+        assert C.order() == oracle.order(), hex(bits)
+        if H.generators:
+            assert C.generators == oracle.generators, hex(bits)
+        else:
+            # a trivial H centralizes the whole group, returned as it is
+            assert C is T.group
 
 
 def test_lattice_rist_leaves_the_tower_chain_unbuilt(monkeypatch, capsys):

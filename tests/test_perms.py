@@ -1,11 +1,12 @@
 """Permutation arithmetic and cycle-notation I/O."""
 
 import math
+import threading
 
 import pytest
 
 from treeperm.errors import InputError
-from treeperm.perms import Permutation, _compose, commutator, parse_cycles
+from treeperm.perms import Permutation, _compose, _trusted, commutator, parse_cycles
 
 
 def compose(a, b):
@@ -94,6 +95,23 @@ def test_degree_mismatch_is_an_input_error():
 def test_not_a_permutation_rejected():
     with pytest.raises(InputError):
         Permutation([0, 0, 1])
+
+
+def test_cycles_of_a_non_bijection_raise():
+    # an unchecked tuple with a repeated image: the cycle walk from
+    # point 1 (0-indexed) never returns to it, so it must raise, not loop
+    outcome = []
+
+    def render():
+        try:
+            _trusted((0, 0, 1)).cycle_string()
+        except ValueError as exc:
+            outcome.append(str(exc))
+
+    walk = threading.Thread(target=render, daemon=True)
+    walk.start()
+    walk.join(10)
+    assert outcome == ["not a permutation: (0, 0, 1)"]
 
 
 def test_compose_falls_back_below_degree_two():
