@@ -273,12 +273,14 @@ def criterion_10_no_cocompact(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEE
             G = corpus[rng.randrange(len(corpus))]
             a = rng.randrange(G.degree)
             U = G.point_stabilizer(a)
+            reach = len(G.orbit(a))
             R = None
             for _ in range(6):
                 k = 1 + rng.randrange(2)
                 cand = PermGroup(G.degree, [G.random_element(rng) for _ in range(k)])
-                inter = cand.intersection(U, caps)
-                if cand.order() * U.order() // inter.order() == G.order():
+                # cand <= G, so cand·G_a = G exactly when cand·a = G·a
+                # (orbit-stabilizer): no chain and no intersection needed
+                if len(cand.orbit(a)) == reach:
                     R = cand
                     break
             if R is None:

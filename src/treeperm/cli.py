@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from . import acceptance
@@ -63,15 +63,22 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
     return caps
 
 
-def emit(result: dict, args: argparse.Namespace, caps: Caps, t0: float) -> None:
+def _plain(o: object) -> dict:
+    """JSON hook: a dataclass instance prints as the dict of its fields."""
+    if is_dataclass(o) and not isinstance(o, type):
+        return {f.name: getattr(o, f.name) for f in fields(o)}
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def emit(result: object, args: argparse.Namespace, caps: Caps, t0: float) -> None:
     envelope = {
         "tool_version": TOOL_VERSION,
         "seed": args.seed,
-        "caps": asdict(caps),
+        "caps": caps,
         "wall_time_ms": int((time.perf_counter() - t0) * 1000),
         "result": result,
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(envelope, indent=2, sort_keys=True, default=_plain) + "\n"
     out = getattr(args, "out", None)
     if out:
         outdir = os.environ.get("TREEPERM_OUTDIR")
@@ -95,27 +102,28 @@ def _group_summary(G: PermGroup) -> dict:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def cmd_criteria_check(args, caps) -> tuple[dict, int]:
+def cmd_criteria_check(args, caps) -> tuple[object, int]:
     F = parse_group_spec(args.F)
     Fp = parse_group_spec(args.Fprime)
     report = evaluate(args.d, F, Fp, caps)
-    return asdict(report), 0 if report.sandwich_ok else 2
+    return report, 0 if report.sandwich_ok else 2
 
 
 def render_survey_table(doc: dict) -> str:
-    """Aligned text view of a survey JSON document (derived, never recomputed)."""
+    """Aligned text view of a survey document, whose rows are `SurveyRow`s
+    (derived, never recomputed)."""
     header = ["label", "order", "classes", "transitive", "free", "gen_by_stabs",
               "nondiscrete", "virt_simple", "in_R", "eta"]
     lines = [header]
     for row in doc["rows"]:
-        facts = row["report"]["facts"]
-        verdicts = {v["name"]: v["value"] for v in row["report"]["verdicts"]}
+        facts = row.report.facts
+        verdicts = {v.name: v.value for v in row.report.verdicts}
         lines.append([
-            row["label"], str(row["order"]), str(row["class_size"]),
+            row.label, str(row.order), str(row.class_size),
             str(facts["Fp_transitive"]), str(facts["Fp_free"]),
             str(facts["Fp_gen_by_stabs"]), str(verdicts["Gc_nondiscrete"]),
             str(verdicts["Gc_virtually_simple"]), str(verdicts["Gc_in_R"]),
-            ",".join(str(p) for p in row["report"]["eta"]) or "-",
+            ",".join(str(p) for p in row.report.eta) or "-",
         ])
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
@@ -125,7 +133,7 @@ def render_survey_table(doc: dict) -> str:
 def cmd_criteria_survey(args, caps) -> tuple[dict, int]:
     rows = survey(args.d, transitive_only=args.transitive_only, caps=caps)
     doc = {"d": args.d, "transitive_only": args.transitive_only,
-           "rows": [asdict(r) for r in rows]}
+           "rows": rows}
     if args.format == "table":
         sys.stdout.write(render_survey_table(doc))
         return None, 0
@@ -196,7 +204,7 @@ def cmd_ball_group(args, caps) -> tuple[dict, int]:
     return result, 0
 
 
-def cmd_ball_defects(args, caps) -> tuple[dict, int]:
+def cmd_ball_defects(args, caps) -> tuple[object, int]:
     F = parse_group_spec(args.F)
     Fp = parse_group_spec(args.Fprime)
     ball = legal_coloring(build_ball(args.d, args.radius, "vertex", caps))
@@ -212,12 +220,12 @@ def cmd_ball_defects(args, caps) -> tuple[dict, int]:
     if not is_ball_automorphism(ball, g):
         raise InputError("element is not an automorphism of the ball: "
                          "it must fix the center and preserve adjacency")
-    return asdict(defect_set(ball, g, F, Fp)), 0
+    return defect_set(ball, g, F, Fp), 0
 
 
-def cmd_tate_verify(args, caps) -> tuple[dict, int]:
+def cmd_tate_verify(args, caps) -> tuple[object, int]:
     G = parse_group_spec(args.group)
-    return asdict(tate_check(G, args.p, caps)), 0
+    return tate_check(G, args.p, caps), 0
 
 
 def cmd_series_op(args, caps) -> tuple[dict, int]:
@@ -250,7 +258,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
     cert = SeriesCertificate(kind=kind, group_order=G.order(), subgroup_order=H.order(),
                              normal_verified=normal, details=details)
     return {"kind": args.kind, "subgroup": _group_summary(H),
-            "certificate": asdict(cert)}, 0
+            "certificate": cert}, 0
 
 
 def _parse_tower(spec: str, caps: Caps) -> WreathTower:
@@ -309,7 +317,7 @@ def cmd_lattice_sweep(args, caps) -> tuple[dict, int]:
         "pairs_checked": len(checks),
         "all_meet_identities_hold": all(c.meet_identity_holds for c in checks),
         "all_disjoint_pairs_commute": all(c.disjoint_commutes for c in checks if c.disjoint),
-        "checks": [asdict(c) for c in checks],
+        "checks": checks,
     }, 0
 
 

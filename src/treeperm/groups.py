@@ -106,7 +106,8 @@ class PermGroup:
     __contains__ = membership
 
     def random_element(self, rng) -> Permutation:
-        return Permutation(self.chain.random_element(rng))
+        # a product of transversal elements is a bijection by construction
+        return _trusted(self.chain.random_element(rng))
 
     # -- element enumeration (independent of the chain) -------------------
 

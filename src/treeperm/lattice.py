@@ -8,8 +8,9 @@ of the children whose cones stick out of alpha, with full subtrees below
 swallowed children.  A memoized counting recursion over the same
 portrait decomposition, `count_supported`, counts elements without
 building a group: it gives every pair check its |rist(alpha) ∩
-rist(beta)|.  The exhaustive rist and intersection oracles that both
-are checked against live in tests/test_lattice.py.
+rist(beta)|, from one memo shared across a sweep.  The exhaustive rist
+and intersection oracles that both are checked against live in
+tests/test_lattice.py.
 """
 
 from __future__ import annotations
@@ -89,15 +90,18 @@ def rist(T: WreathTower, bits: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
 
 # -- support-counting oracle ---------------------------------------------------
 
-def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS) -> int:
+def count_supported(T: WreathTower, *subsets: int, caps: Caps = DEFAULT_CAPS,
+                    memo: dict[tuple, int] | None = None) -> int:
     """Number of tower elements supported inside every given subset.
 
     Independent of the rist construction: a memoized recursion over
     portrait shapes that multiplies panel choices and child counts.
     Base elements are enumerated only when a vertex has a panel to count.
+    Each memo entry depends only on T and its key, so calls on one
+    tower may share a `memo`.
     """
     d, n = T.arity, T.depth
-    memo: dict[tuple, int] = {}
+    memo = {} if memo is None else memo
 
     def full_below(k: int) -> int:
         return tower_order(T.base.order(), d, n - k)
@@ -157,7 +161,8 @@ def _commute_groupwise(A: PermGroup, B: PermGroup) -> bool:
 def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
                        caps: Caps = DEFAULT_CAPS,
                        rist_cache: dict[int, PermGroup] | None = None,
-                       centralizer_cache: dict[int, PermGroup] | None = None) -> PairCheck:
+                       centralizer_cache: dict[int, PermGroup] | None = None,
+                       count_memo: dict[tuple, int] | None = None) -> PairCheck:
     """rist meet identity, disjoint-support commuting, complement centralizing."""
     rist_cache = {} if rist_cache is None else rist_cache
     centralizer_cache = {} if centralizer_cache is None else centralizer_cache
@@ -171,7 +176,7 @@ def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
     B = rist_of(beta)
     L = rist_of(alpha & beta)
     contained = all(A.membership(g) and B.membership(g) for g in L.generators)
-    inter = count_supported(T, alpha, beta, caps=caps)
+    inter = count_supported(T, alpha, beta, caps=caps, memo=count_memo)
     meet_holds = contained and inter == L.order()
 
     disjoint = alpha & beta == 0
@@ -234,6 +239,7 @@ def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
     pool = cone_union_pool(T)
     rist_cache: dict[int, PermGroup] = {}
     centralizer_cache: dict[int, PermGroup] = {}
+    count_memo: dict[tuple, int] = {}
     checks = []
     n = len(pool)
     for diag in range(2 * n - 1):
@@ -244,5 +250,5 @@ def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
             if len(checks) >= caps.pair_cap:
                 return checks
             checks.append(lattice_check_pair(T, pool[i], pool[j], caps,
-                                             rist_cache, centralizer_cache))
+                                             rist_cache, centralizer_cache, count_memo))
     return checks

@@ -3,9 +3,11 @@
 Each criterion prints its PASS/FAIL line; all must pass within budget.
 """
 
+import random
+
 import pytest
 
-from treeperm.acceptance import (ALL_CRITERIA, criterion_01_tate_sweep,
+from treeperm.acceptance import (ALL_CRITERIA, _no_cocompact_corpus, criterion_01_tate_sweep,
                                  criterion_02_residual_oracle, criterion_03_sylow,
                                  criterion_04_wreath_sylow_tower,
                                  criterion_05_wreath_order_law, criterion_06_cocycle,
@@ -13,6 +15,8 @@ from treeperm.acceptance import (ALL_CRITERIA, criterion_01_tate_sweep,
                                  criterion_08_edge_ball_decomposition, criterion_09_survey,
                                  criterion_10_no_cocompact, criterion_11_lattice,
                                  criterion_12_eta)
+from treeperm.config import DEFAULT_CAPS
+from treeperm.groups import PermGroup
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
@@ -73,3 +77,44 @@ def test_criterion_detail(criterion, detail):
 def test_every_criterion_detail_is_pinned():
     pinned = [fn for fn, _ in TOWER_DETAILS + CRITERION_DETAILS]
     assert sorted(pinned, key=ALL_CRITERIA.index) == list(ALL_CRITERIA)
+
+
+def _index_test_criterion_10(seed):
+    """Criterion 10 with its former candidate test, |cand|·|U| / |cand ∩ U|
+    = |G| through `PermGroup.intersection`, checked against the orbit
+    test on every candidate.  Returns the detail string and the numbers
+    of kept and dropped candidates."""
+    rng = random.Random(seed)
+    corpus = _no_cocompact_corpus(DEFAULT_CAPS)
+    nontrivial = kept = dropped = 0
+    for _ in range(1000):
+        G = corpus[rng.randrange(len(corpus))]
+        a = rng.randrange(G.degree)
+        U = G.point_stabilizer(a)
+        R = None
+        for _ in range(6):
+            k = 1 + rng.randrange(2)
+            cand = PermGroup(G.degree, [G.random_element(rng) for _ in range(k)])
+            inter = cand.intersection(U)
+            by_index = cand.order() * U.order() // inter.order() == G.order()
+            assert by_index == (len(cand.orbit(a)) == len(G.orbit(a))), (G, a, cand)
+            if by_index:
+                R = cand
+                kept += 1
+                break
+            dropped += 1
+        if R is None:
+            R = G
+        K = R.normal_core(R.intersection(U))
+        if K.order() > 1:
+            nontrivial += 1
+        assert G.normal_closure(K).is_subgroup_of(U)
+    detail = f"1000 instances ({nontrivial} with nontrivial K), closure <= U always"
+    return detail, kept, dropped
+
+
+@pytest.mark.parametrize("seed", [1, 29, 7])
+def test_criterion_10_orbit_test_matches_index_formula(seed):
+    detail, kept, dropped = _index_test_criterion_10(seed)
+    assert kept and dropped
+    assert criterion_10_no_cocompact(seed=seed).detail == detail

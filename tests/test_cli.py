@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from treeperm.cli import build_parser, main
+from treeperm.cli import _plain, build_parser, main
 from treeperm.criteria import CriterionReport, SurveyRow, Verdict
+from treeperm.groups import symmetric
 from treeperm.localact import DefectReport
-from treeperm.series import SeriesCertificate, TateReport
+from treeperm.series import SeriesCertificate, TateReport, tate_check
 
 
 def run_cli(capsys, *argv):
@@ -126,7 +127,7 @@ def test_series_ops(capsys):
 
 
 def test_report_keys_are_dataclass_fields(capsys):
-    """Every report prints as dataclasses.asdict of the dataclass behind it."""
+    """Every report prints as the dict of the fields of the dataclass behind it."""
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
@@ -151,6 +152,15 @@ def test_report_keys_are_dataclass_fields(capsys):
     defects = result("ball", "defects", "--d", "3", "--radius", "2", "--F", "Alt(3)",
                      "--Fprime", "Sym(3)", "--element", element)
     assert set(defects) == fields(DefectReport)
+
+
+def test_json_hook_prints_dataclasses_as_asdict_does():
+    report = tate_check(symmetric(4), 2)
+    assert (json.dumps(report, indent=2, sort_keys=True, default=_plain)
+            == json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    for bad in ({1, 2}, TateReport):
+        with pytest.raises(TypeError):
+            json.dumps(bad, default=_plain)
 
 
 def test_lattice_rist(capsys):

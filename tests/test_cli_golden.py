@@ -52,7 +52,7 @@ GOLDEN = [
     ("tate verify --group Cyc(1) --p 2", 0, "64ed61df62a6bb87f802bfa3e621a3d04e4dbf1e22a2736750e6bde5ce4627dc"),
     ("series op --group Triv(1) --kind sylow --p 2", 0, "a124e673ed017be69924566ef911f3782b9cb4907725a0da30f003899818b2bc"),
     ("wreath build --base Sym(2) --depth 1", 0, "a27db9b80e409961b6f904add3f94a46ea96ae7f691e40a5f39c23fd896d5a10"),
-    # every report kind that serializes through dataclasses.asdict
+    # every report kind that prints through cli.emit's dataclass hook
     ('ball defects --d 3 --radius 2 --F Alt(3) --Fprime Sym(3) '
      '--element {"vertex_images":[0,1,2,3,5,4,6,7,8,9]}', 0,
      "7ab92d41667887abf4ca1b891d46cd0339c4eb73e0fe83a619cc2dca7665d0c1"),

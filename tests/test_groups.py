@@ -10,7 +10,9 @@ from treeperm.groups import (PermGroup, alternating, closure_elements, cyclic,
                              dihedral, frobenius20, klein4, named_group,
                              parse_group_file, parse_group_spec, symmetric,
                              trivial)
+from treeperm.localact import ball_stabilizer_group
 from treeperm.perms import Permutation, _compose, parse_cycles
+from treeperm.treeball import build_ball, legal_coloring
 from treeperm.wreath import wreath_tower
 
 CORPUS = [
@@ -365,3 +367,18 @@ def test_random_element_lies_in_group():
     G = frobenius20()
     for _ in range(50):
         assert G.membership(G.random_element(rng))
+
+
+def test_random_element_is_a_valid_permutation():
+    # random_element wraps its product unchecked: the validating
+    # constructor must accept every draw, and its cycles must round-trip
+    ball = legal_coloring(build_ball(3, 2, "vertex"))
+    groups = [wreath_tower(symmetric(3), 2).group,
+              ball_stabilizer_group(ball, symmetric(3)).group, symmetric(5)]
+    rng = random.Random(5)
+    for G in groups:
+        for _ in range(30):
+            g = G.random_element(rng)
+            assert g == Permutation(g.images)
+            assert g.cycle_string() == Permutation(g.images).cycle_string()
+            assert Permutation.from_cycles(g.cycles(), G.degree) == g

@@ -8,7 +8,7 @@ import pytest
 from test_groups import _centralizer_scan, _intersection_scan
 from treeperm import cli, wreath
 from treeperm.config import DEFAULT_CAPS
-from treeperm.groups import PermGroup, symmetric, klein4
+from treeperm.groups import PermGroup, cyclic, symmetric, klein4
 from treeperm.lattice import (SubsetAlgebra, cone_bits, cone_union_pool, count_supported,
                               lattice_check_pair, lattice_sweep, rist)
 from treeperm.perms import parse_cycles
@@ -175,6 +175,20 @@ def test_sweep_intersection_count_matches_exhaustive(F, n):
             assert exhaustive.order() == c.intersection_order, (hex(c.subset_a), hex(c.subset_b))
             scanned += 1
     assert scanned > 0
+
+
+MEMO_TOWERS = [(symmetric(2), 3), (symmetric(3), 2), (cyclic(3), 3), (klein4(), 2)]
+
+
+@pytest.mark.parametrize("F, n", MEMO_TOWERS, ids=[f"{F.name}:{n}" for F, n in MEMO_TOWERS])
+def test_shared_count_memo_changes_no_count(F, n):
+    # the sweep shares one count_supported memo across its pairs
+    T = wreath_tower(F, n)
+    checks = lattice_sweep(T)
+    assert checks
+    for c in checks:
+        assert c.intersection_order == count_supported(T, c.subset_a, c.subset_b), (
+            hex(c.subset_a), hex(c.subset_b))
 
 
 TOWERS_UNDER_CAP = [(F, n) for F, n in SWEEP_TOWERS
