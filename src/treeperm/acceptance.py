@@ -273,19 +273,21 @@ def criterion_10_no_cocompact(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEE
             G = corpus[rng.randrange(len(corpus))]
             a = rng.randrange(G.degree)
             U = G.point_stabilizer(a)
-            reach = len(G.orbit(a))
+            orbit = G.orbit(a)
             R = None
             for _ in range(6):
                 k = 1 + rng.randrange(2)
                 cand = PermGroup(G.degree, [G.random_element(rng) for _ in range(k)])
                 # cand <= G, so cand·G_a = G exactly when cand·a = G·a
                 # (orbit-stabilizer): no chain and no intersection needed
-                if len(cand.orbit(a)) == reach:
+                if len(cand.orbit(a)) == len(orbit):
                     R = cand
                     break
             if R is None:
                 R = G
-            K = R.normal_core(R.intersection(U, caps), caps)
+            # R <= G, so R ∩ G_a = R_a, and core_R(R_a) is the kernel of R
+            # on R·a, which equals G·a: the pointwise stabilizer of the orbit
+            K = R.pointwise_stabilizer(orbit)
             if K.order() > 1:
                 nontrivial += 1
             closure = G.normal_closure(K)

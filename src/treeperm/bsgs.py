@@ -1,7 +1,7 @@
 """Deterministic Schreier-Sims stabilizer chains.
 
-No randomization anywhere: base points are the smallest point moved by
-the strong generator that forces the level, orbits grow in BFS
+No randomization anywhere: base points after any given prefix are the
+smallest point moved by the strong generator that forces the level, orbits grow in BFS
 discovery order, and generator lists are append-only.  Identical
 generator sequences therefore produce identical chains, orders, and
 transversals across runs.
@@ -46,8 +46,13 @@ class StabilizerChain:
         self.levels: list[_Level] = []
 
     @classmethod
-    def from_generators(cls, degree: int, gens: Iterable[Raw]) -> "StabilizerChain":
+    def from_generators(cls, degree: int, gens: Iterable[Raw],
+                        base: Iterable[int] = ()) -> "StabilizerChain":
+        """Schreier-Sims chain whose base starts with the distinct points
+        `base`: each gets a level before any sifting, and a residue that
+        moves one registers there.  Later base points are chosen as usual."""
         chain = cls(degree)
+        chain.levels = [_Level(b, chain.ident) for b in base]
         for g in gens:
             chain.add_generator(g)
         return chain
@@ -94,6 +99,13 @@ class StabilizerChain:
     def strong_generators(self) -> list[Raw]:
         """The strong generators of every level, each once, top level first."""
         return list(dict.fromkeys(g for lev in self.levels for g in lev.gens))
+
+    def tail(self, k: int) -> "StabilizerChain":
+        """Chain of the pointwise stabilizer of the first k base points:
+        the levels from k on, shared with this chain."""
+        chain = StabilizerChain(self.degree)
+        chain.levels = self.levels[k:]
+        return chain
 
     def contains(self, g: Raw) -> bool:
         h, i = self._strip(g, 0)

@@ -1,9 +1,9 @@
 """Finitely generated permutation groups with BSGS backing.
 
-Covers group arithmetic, membership, order, orbits, stabilizers, normal
-closures/cores, centralizers, intersections, and the transitivity /
-free-action / stabilizer-generation predicates used by the tree-group
-criteria.
+Covers group arithmetic, membership, order, orbits, point and pointwise
+stabilizers, normal closures/cores, centralizers, intersections, and the
+transitivity / free-action / stabilizer-generation predicates used by
+the tree-group criteria.
 
 One breadth-first search, `_bfs`, walks every orbit and closure here:
 point orbits, the element closure behind `elements` (under the element
@@ -19,7 +19,8 @@ these work on raw image tuples and count their subgroup exactly, so
 they pass the count to `from_elements` as the proved order: sifting
 stops once the chain reaches it, and a chain that ends elsewhere
 raises.  Point stabilizers stop at |G| / |orbit| and are cached per
-point.
+point.  A pointwise stabilizer is the tail of a fresh chain whose base
+starts with its points.
 """
 
 from __future__ import annotations
@@ -158,6 +159,28 @@ class PermGroup:
         n, schreier = _schreier_generators(self.degree, [g.images for g in self.generators], point)
         stab = PermGroup.from_elements(self.degree, schreier, self.order() // n)
         self._stabilizers[point] = stab
+        return stab
+
+    def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
+        """Elements fixing every point of `points` (repeats count once).
+
+        Read off a fresh chain whose base starts with `points`: its levels
+        after that prefix are a chain of the stabilizer (Seress, ch. 4).
+        The group's own chain is left alone.
+        """
+        prefix = list(dict.fromkeys(points))
+        for b in prefix:
+            if not 0 <= b < self.degree:
+                raise InputError(f"point {b} out of range for degree {self.degree}")
+        gens = [g.images for g in self.generators]
+        fixed = set(prefix)
+        outside = [i for i in range(self.degree) if i not in fixed]
+        if all(g[i] == i for g in gens for i in outside):
+            # every support, so every product's, lies in `points`
+            return PermGroup(self.degree, [])
+        chain = StabilizerChain.from_generators(self.degree, gens, prefix).tail(len(prefix))
+        stab = PermGroup(self.degree, [_trusted(g) for g in chain.strong_generators()])
+        stab._chain = chain
         return stab
 
     # -- predicates --------------------------------------------------------

@@ -186,7 +186,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             raise InputError(f"malformed cycle notation at column {pos + 1}: {text!r}")
         body = m.group(1).strip()
         if body:
-            points = [int(tok) for tok in re.split(r"[\s,]+", body)]
+            points = [int(tok) for tok in re.findall(r"\d+", body)]
             if any(p < 1 for p in points):
                 raise InputError(f"cycle points are 1-indexed, got {points} at column {pos + 1}")
             cycles.append([p - 1 for p in points])

@@ -4,6 +4,7 @@ Each criterion prints its PASS/FAIL line; all must pass within budget.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from treeperm.acceptance import (ALL_CRITERIA, _no_cocompact_corpus, criterion_0
                                  criterion_10_no_cocompact, criterion_11_lattice,
                                  criterion_12_eta)
 from treeperm.config import DEFAULT_CAPS
-from treeperm.groups import PermGroup
+from treeperm.groups import PermGroup, closure_elements
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda fn: fn.__name__)
@@ -80,13 +81,15 @@ def test_every_criterion_detail_is_pinned():
 
 
 def _index_test_criterion_10(seed):
-    """Criterion 10 with its former candidate test, |cand|·|U| / |cand ∩ U|
-    = |G| through `PermGroup.intersection`, checked against the orbit
-    test on every candidate.  Returns the detail string and the numbers
-    of kept and dropped candidates."""
+    """Criterion 10 with its former scans: the candidate test |cand|·|U| /
+    |cand ∩ U| = |G| through `PermGroup.intersection`, checked against the
+    orbit test on every candidate, and K = core_R(R ∩ U) through
+    `normal_core`, checked against the pointwise stabilizer of the orbit
+    as element sets.  Returns the detail string and how often each case
+    occurred."""
     rng = random.Random(seed)
     corpus = _no_cocompact_corpus(DEFAULT_CAPS)
-    nontrivial = kept = dropped = 0
+    seen = Counter()
     for _ in range(1000):
         G = corpus[rng.randrange(len(corpus))]
         a = rng.randrange(G.degree)
@@ -100,21 +103,27 @@ def _index_test_criterion_10(seed):
             assert by_index == (len(cand.orbit(a)) == len(G.orbit(a))), (G, a, cand)
             if by_index:
                 R = cand
-                kept += 1
+                seen["kept"] += 1
                 break
-            dropped += 1
+            seen["dropped"] += 1
         if R is None:
             R = G
+            seen["fallback"] += 1
         K = R.normal_core(R.intersection(U))
-        if K.order() > 1:
-            nontrivial += 1
+        kernel = R.pointwise_stabilizer(G.orbit(a))
+        assert _element_set(kernel) == _element_set(K), (G, a, R)
+        seen["nontrivial" if K.order() > 1 else "trivial"] += 1
         assert G.normal_closure(K).is_subgroup_of(U)
-    detail = f"1000 instances ({nontrivial} with nontrivial K), closure <= U always"
-    return detail, kept, dropped
+    detail = f"1000 instances ({seen['nontrivial']} with nontrivial K), closure <= U always"
+    return detail, seen
+
+
+def _element_set(H):
+    return {g.images for g in closure_elements(H.degree, H.generators, DEFAULT_CAPS.element_cap)}
 
 
 @pytest.mark.parametrize("seed", [1, 29, 7])
 def test_criterion_10_orbit_test_matches_index_formula(seed):
-    detail, kept, dropped = _index_test_criterion_10(seed)
-    assert kept and dropped
+    detail, seen = _index_test_criterion_10(seed)
+    assert all(seen[case] for case in ("kept", "dropped", "fallback", "trivial", "nontrivial"))
     assert criterion_10_no_cocompact(seed=seed).detail == detail

@@ -60,6 +60,27 @@ def test_random_elements_are_uniformish():
 
 
 # Per-point reference definitions for the raw-tuple kernel.
+def test_prefixed_chain_keeps_its_base_and_group():
+    rng = random.Random(23)
+    for _ in range(60):
+        degree = rng.randrange(1, 9)
+        G = random_group(rng, degree, rng.randrange(1, 4))
+        gens = [g.images for g in G.generators]
+        prefix = rng.sample(range(degree), rng.randint(0, degree))
+        plain = StabilizerChain.from_generators(degree, gens)
+        chain = StabilizerChain.from_generators(degree, gens, base=prefix)
+        assert chain.base()[:len(prefix)] == prefix
+        assert chain.order() == plain.order() == G.order()
+        if not prefix:
+            assert chain.base() == plain.base()
+        for _ in range(50):
+            imgs = list(range(degree))
+            rng.shuffle(imgs)
+            p = tuple(imgs)
+            assert chain.contains(p) == plain.contains(p)
+        assert all(chain.contains(G.random_element(rng).images) for _ in range(10))
+
+
 def ref_mul(a, b):
     return tuple(a[x] for x in b)
 

@@ -419,6 +419,16 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
         assert "not an automorphism" in err
 
 
+@pytest.mark.parametrize("gen, plain", [("(1 2,)", "(1 2)"), ("(1,)(2 3)", "(2 3)")])
+def test_group_file_cycle_with_trailing_separator(capsys, gen, plain):
+    def sylow(text):
+        return run_cli(capsys, "series", "op", "--group", f"degree: 3\ngen: {text}",
+                       "--kind", "sylow", "--p", "2")
+    code, out, err = sylow(gen)
+    assert code == 0 and err == ""
+    assert strip_timing(parse_json(out)) == strip_timing(parse_json(sylow(plain)[1]))
+
+
 def test_zero_caps_stay_legal(capsys):
     code, out, _ = run_cli(capsys, "lattice", "sweep", "--tower", "Sym(2):2", "--max-pairs", "0")
     assert code == 0 and parse_json(out)["result"]["pairs_checked"] == 0

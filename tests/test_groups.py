@@ -236,6 +236,47 @@ def test_intersection_matches_scan_on_random_groups():
     assert 40 < contained < 160
 
 
+def _fixing_scan(G, points, caps=DEFAULT_CAPS):
+    """The elements of G fixing every point of `points`, by a scan."""
+    return {g.images for g in G.elements(caps) if all(g.images[b] == b for b in points)}
+
+
+def test_pointwise_stabilizer_matches_scan_on_random_groups():
+    rng = random.Random(22)
+    trivial_exits = nontrivial = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        moved = lambda: rng.sample(range(n), rng.randint(0, min(n, 6)))
+        G = PermGroup(n, [_moving(rng, n, moved()) for _ in range(rng.randint(1, 3))])
+        chain = G.chain
+        base = chain.base()
+        a = rng.randrange(n)
+        support = [b for b in range(n) if any(g(b) != b for g in G.generators)]
+        for points in ([], [a], G.orbit(a), support):
+            K = G.pointwise_stabilizer(points)
+            oracle = _fixing_scan(G, points)
+            elems = closure_elements(n, K.generators, DEFAULT_CAPS.element_cap)
+            assert {g.images for g in elems} == oracle
+            assert K.order() == K.chain.order() == len(oracle)
+            trivial_exits += not K.generators
+            nontrivial += len(oracle) > 1
+        # the group's own chain, which random_element reads, is untouched
+        assert G.chain is chain and chain.base() == base
+    assert trivial_exits > 200 and nontrivial > 200
+
+
+def test_pointwise_stabilizer_drops_repeated_points():
+    S5 = symmetric(5)
+    assert S5.pointwise_stabilizer([1, 3, 1, 3]).order() == 6
+    assert S5.pointwise_stabilizer([0, 1, 2, 3, 0]).order() == 1
+
+
+def test_pointwise_stabilizer_point_range_checked():
+    for points in ([5], [0, -1], [2, 7, 1]):
+        with pytest.raises(InputError, match="out of range for degree 5"):
+            symmetric(5).pointwise_stabilizer(points)
+
+
 def test_transitive_free_genstabs_for_c5():
     C5 = cyclic(5)
     assert C5.is_transitive()

@@ -1,6 +1,6 @@
 """Differential checks against sympy.combinatorics on random groups of
 degree <= 7: centralizers of H with 1-3 generators, intersections,
-normal cores, the chain facts, the stabilizer cache;
+normal cores, pointwise stabilizers, the chain facts, the stabilizer cache;
 on the known-order chains of wreath towers with at most 64 leaves and
 of a few of their direct squares; and on the structural chains of the
 ball groups of the benchmark's pool."""
@@ -78,6 +78,10 @@ def test_scanned_subgroup_orders_match_sympy(case):
 
     for a in range(n):
         assert G.point_stabilizer(a).order() == SG.stabilizer(a).order()
+
+    for points in ([rng.randrange(n)], rng.sample(range(n), rng.randint(2, n)), G.orbit(0)):
+        assert (G.pointwise_stabilizer(points).order()
+                == SG.pointwise_stabilizer(points).order())
 
 
 @hypothesis.settings(max_examples=30, deadline=None, database=None)

@@ -69,6 +69,13 @@ def test_parse_separators_and_degree_inference():
     assert parse_cycles("()", 4) == Permutation.identity(4)
 
 
+def test_parse_trailing_separator_inside_a_cycle():
+    # a separator after a cycle's last point adds no point
+    assert parse_cycles("(1 2,)", 3) == parse_cycles("(1 2)", 3)
+    assert parse_cycles("(1,)(2 3)", 3) == parse_cycles("(2 3)", 3)
+    assert parse_cycles("( 1, 2 ,3 , )") == parse_cycles("(1 2 3)")
+
+
 def test_parse_errors_are_located():
     with pytest.raises(InputError, match="column"):
         parse_cycles("(1 2")
