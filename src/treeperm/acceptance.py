@@ -210,10 +210,11 @@ def criterion_08_edge_ball_decomposition(caps: Caps = DEFAULT_CAPS, seed: int = 
                     f"r={r}: fixing {tp.order()}, halves {h0.order()},{h1.order()}")
             if h0.order() * h1.order() != tp.order():
                 raise AssertionError(f"r={r}: orders do not multiply")
-            if h0.intersection(h1, caps).order() != 1:
-                raise AssertionError(f"r={r}: halves intersect nontrivially")
             if not _commute_groupwise(h0, h1):
                 raise AssertionError(f"r={r}: halves do not commute")
+            # commuting halves join to h0·h1, of order |h0|·|h1| / |h0 ∩ h1|
+            if PermGroup(tp.degree, h0.generators + h1.generators).order() != tp.order():
+                raise AssertionError(f"r={r}: halves intersect nontrivially")
             if not (h0.is_subgroup_of(tp) and h1.is_subgroup_of(tp)):
                 raise AssertionError(f"r={r}: halves not inside the fixing subgroup")
             if B.order() != 2 * tp.order():

@@ -14,7 +14,7 @@ DEFAULT_SEED = 20260810
 
 @dataclass(frozen=True)
 class Caps:
-    # exhaustive element enumeration (closure, centralizer, intersection, core)
+    # exhaustive element enumeration (closure, centralizer leaves)
     element_cap: int = 100_000
     # ambient order for subgroup enumeration up to conjugacy
     subgroup_cap: int = 1000

@@ -1,26 +1,22 @@
 """Finitely generated permutation groups with BSGS backing.
 
 Covers group arithmetic, membership, order, orbits, point and pointwise
-stabilizers, normal closures/cores, centralizers, intersections, and the
-transitivity / free-action / stabilizer-generation predicates used by
-the tree-group criteria.
+stabilizers, normal closures, centralizers, and the transitivity /
+free-action / stabilizer-generation predicates used by the tree-group
+criteria.
 
 One breadth-first search, `_bfs`, walks every orbit and closure here:
 point orbits, the element closure behind `elements` (under the element
-cap), the conjugacy classes of `normal_core` (each abandoned at its
-first conjugate outside U), and the subgroup conjugacy orbits of
-`subgroups`.
+cap), and the subgroup conjugacy orbits of `subgroups`.
 
 Centralizers come from a base-image backtrack over the group's own
-chain, pruned by the images that commuting with H forces.  An
-intersection is the smaller group when that lies in the larger, and an
-element scan of the smaller one otherwise; normal cores scan U.  All of
-these work on raw image tuples and count their subgroup exactly, so
-they pass the count to `from_elements` as the proved order: sifting
-stops once the chain reaches it, and a chain that ends elsewhere
-raises.  Point stabilizers stop at |G| / |orbit| and are cached per
-point.  A pointwise stabilizer is the tail of a fresh chain whose base
-starts with its points.
+chain, pruned by the images that commuting with H forces.  It works on
+raw image tuples and counts its subgroup exactly, so it passes the
+count to `from_elements` as the proved order: sifting stops once the
+chain reaches it, and a chain that ends elsewhere raises.  Point
+stabilizers stop at |G| / |orbit| and are cached per point.  A
+pointwise stabilizer is the tail of a fresh chain whose base starts
+with its points.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .bsgs import StabilizerChain, _schreier_generators, reduce_generators
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError, read_input_file
-from .perms import Permutation, _compose, _invert, _trusted, commutator, parse_cycles
+from .perms import Permutation, _compose, _trusted, commutator, parse_cycles
 
 
 class PermGroup:
@@ -219,7 +215,12 @@ class PermGroup:
 
     def normal_closure(self, K: "PermGroup") -> "PermGroup":
         """Smallest normal subgroup of self containing K."""
-        self._require_subgroup(K, "normal_closure")
+        if K.degree != self.degree:
+            raise InputError("normal_closure: degree mismatch")
+        for g in K.generators:
+            if not self.membership(g):
+                raise InputError(f"normal_closure: generator {g.cycle_string()} "
+                                 "not in the ambient group")
         chain = StabilizerChain(self.degree)
         gens: list[Permutation] = []
         for g in K.generators:
@@ -233,31 +234,6 @@ class PermGroup:
         result = PermGroup(self.degree, gens)
         result._chain = chain
         return result
-
-    def normal_core(self, U: "PermGroup", caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """Largest normal subgroup of self contained in U.
-
-        Exhaustive over U's elements: u survives iff its whole
-        conjugacy closure under self stays inside U, and the closure is
-        abandoned at its first conjugate outside U.  The union of the
-        classes that survive is the core, so its size is the proved order.
-        """
-        self._require_subgroup(U, "normal_core")
-        conjugators = [(g.images, _invert(g.images)) for g in self.generators]
-        u_list = [p.images for p in U.elements(caps)]
-        u_elems = set(u_list)
-        core: list[tuple] = []
-        in_core: set[tuple] = set()
-        for u in u_list:
-            if u in in_core:
-                continue
-            # conjugacy class of u under self: x -> g x g^-1
-            cls = _bfs(u, conjugators, lambda x, c: _compose(_compose(c[0], x), c[1]),
-                       within=u_elems)
-            if cls is not None:
-                core.extend(sorted(cls))
-                in_core.update(cls)
-        return PermGroup.from_elements(self.degree, core, len(core))
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup: normal closure of generator-pair commutators."""
@@ -340,28 +316,6 @@ class PermGroup:
         found.sort()
         return PermGroup.from_elements(self.degree, found, len(found))
 
-    def center(self, caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        return self.centralizer(self, caps)
-
-    def intersection(self, other: "PermGroup", caps: Caps = DEFAULT_CAPS) -> "PermGroup":
-        """The smaller group when its generators lie in the larger one, else
-        by enumerating the smaller group under the element cap."""
-        if other.degree != self.degree:
-            raise InputError("intersection: degree mismatch")
-        small, big = (self, other) if self.order() <= other.order() else (other, self)
-        contains = big.chain.contains
-        if all(contains(g.images) for g in small.generators):
-            return small
-        found = [g.images for g in small.elements(caps) if contains(g.images)]
-        return PermGroup.from_elements(self.degree, found, len(found))
-
-    def _require_subgroup(self, K: "PermGroup", op: str) -> None:
-        if K.degree != self.degree:
-            raise InputError(f"{op}: degree mismatch")
-        for g in K.generators:
-            if not self.membership(g):
-                raise InputError(f"{op}: generator {g.cycle_string()} not in the ambient group")
-
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"
@@ -370,15 +324,12 @@ class PermGroup:
 
 # -- the one breadth-first search, no PermGroup machinery -----------------
 
-def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None,
-         within: set | None = None) -> list | None:
+def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None) -> list:
     """`start` and every value reached from it by `act(x, g)`, g in
     `gens`, in breadth-first discovery order (Holt-Eick-O'Brien, §4.1).
 
     With a `cap`, a new value arriving when `cap` values are already
     out is refused as an element enumeration past `--element-cap`.
-    With `within`, the walk gives up and returns None at the first new
-    value outside it.
     """
     out = [start]
     seen = {start}
@@ -386,8 +337,6 @@ def _bfs(start: Hashable, gens: Sequence, act: Callable, cap: int | None = None,
         for g in gens:
             y = act(x, g)
             if y not in seen:
-                if within is not None and y not in within:
-                    return None
                 if cap is not None and len(out) >= cap:
                     raise ResourceLimitError("element enumeration", cap, len(out) + 1,
                                              "--element-cap")

@@ -8,9 +8,9 @@ of the children whose cones stick out of alpha, with full subtrees below
 swallowed children.  A memoized counting recursion over the same
 portrait decomposition, `count_supported`, counts elements without
 building a group: it gives every pair check its |rist(alpha) ∩
-rist(beta)|, from one memo shared across a sweep.  The exhaustive rist
-and intersection oracles that both are checked against live in
-tests/test_lattice.py.
+rist(beta)|, from one memo shared across a sweep.  Both are checked
+against exhaustive oracles: rist in tests/test_lattice.py, the
+intersection scan in tests/scan_oracles.py.
 """
 
 from __future__ import annotations

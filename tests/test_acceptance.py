@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from scan_oracles import intersection_scan, normal_core_scan
+from treeperm import acceptance
 from treeperm.acceptance import (ALL_CRITERIA, _no_cocompact_corpus, criterion_01_tate_sweep,
                                  criterion_02_residual_oracle, criterion_03_sylow,
                                  criterion_04_wreath_sylow_tower,
@@ -82,10 +84,10 @@ def test_every_criterion_detail_is_pinned():
 
 def _index_test_criterion_10(seed):
     """Criterion 10 with its former scans: the candidate test |cand|·|U| /
-    |cand ∩ U| = |G| through `PermGroup.intersection`, checked against the
+    |cand ∩ U| = |G| through `intersection_scan`, checked against the
     orbit test on every candidate, and K = core_R(R ∩ U) through
-    `normal_core`, checked against the pointwise stabilizer of the orbit
-    as element sets.  Returns the detail string and how often each case
+    `normal_core_scan`, checked against the pointwise stabilizer of the
+    orbit as element sets.  Returns the detail string and how often each case
     occurred."""
     rng = random.Random(seed)
     corpus = _no_cocompact_corpus(DEFAULT_CAPS)
@@ -98,7 +100,7 @@ def _index_test_criterion_10(seed):
         for _ in range(6):
             k = 1 + rng.randrange(2)
             cand = PermGroup(G.degree, [G.random_element(rng) for _ in range(k)])
-            inter = cand.intersection(U)
+            inter = intersection_scan(cand, U)
             by_index = cand.order() * U.order() // inter.order() == G.order()
             assert by_index == (len(cand.orbit(a)) == len(G.orbit(a))), (G, a, cand)
             if by_index:
@@ -109,7 +111,7 @@ def _index_test_criterion_10(seed):
         if R is None:
             R = G
             seen["fallback"] += 1
-        K = R.normal_core(R.intersection(U))
+        K = normal_core_scan(R, intersection_scan(R, U))
         kernel = R.pointwise_stabilizer(G.orbit(a))
         assert _element_set(kernel) == _element_set(K), (G, a, R)
         seen["nontrivial" if K.order() > 1 else "trivial"] += 1
@@ -127,3 +129,18 @@ def test_criterion_10_orbit_test_matches_index_formula(seed):
     detail, seen = _index_test_criterion_10(seed)
     assert all(seen[case] for case in ("kept", "dropped", "fallback", "trivial", "nontrivial"))
     assert criterion_10_no_cocompact(seed=seed).detail == detail
+
+
+def test_criterion_8_catches_halves_that_meet(monkeypatch):
+    # equal halves commute at r = 1 (each is a single involution) and
+    # multiply to the right order, so only the joined order sees the meet
+    real = acceptance.half_ball_rigid_stabilizers
+
+    def same_halves(B):
+        h0, h1 = real(B)
+        return (h0, h0) if B.graft.ball.radius == 1 else (h0, h1)
+
+    monkeypatch.setattr(acceptance, "half_ball_rigid_stabilizers", same_halves)
+    result = criterion_08_edge_ball_decomposition()
+    assert not result.ok
+    assert result.detail == "AssertionError: r=1: halves intersect nontrivially"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from scan_oracles import intersection_scan, normal_core_scan
 from treeperm import groups
 from treeperm.bsgs import StabilizerChain, _Level, reduce_generators
 from treeperm.groups import PermGroup, closure_elements, symmetric
@@ -289,8 +290,8 @@ def test_bounded_sift_keeps_what_a_full_pass_keeps(monkeypatch):
         G = PermGroup(n, gens)
         rng = random.Random(seed)
         G.centralizer(PermGroup(n, [G.random_element(rng)]))
-        G.intersection(PermGroup(n, others))
-        G.normal_core(PermGroup(n, [G.random_element(rng) for _ in range(2)]))
+        intersection_scan(G, PermGroup(n, others))
+        normal_core_scan(G, PermGroup(n, [G.random_element(rng) for _ in range(2)]))
         for a in range(n):
             G.point_stabilizer(a)
 

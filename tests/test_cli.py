@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,20 @@ def test_tate_verify(capsys):
     doc = parse_json(out)
     assert not doc["result"]["hypothesis_holds"]
     assert doc["result"]["certificate"]["normal_verified"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tate", "verify", "--group", "Sym(5)", "--p", "1000000000000000003"],
+    ["series", "op", "--group", "Sym(4)", "--kind", "core", "--pi", "1000000000000000003"],
+], ids=["tate", "core"])
+def test_large_prime_is_decided_at_once(capsys, argv):
+    # a prime of 19 digits: trial division up to its square root would not finish
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == ""
+    result = parse_json(out)["result"]
+    assert (result.get("intersection_order") or result["subgroup"]["order"]) == 1
 
 
 def test_series_ops(capsys):
@@ -332,6 +347,12 @@ MALFORMED = {
     "tree-vertex-cap-negative": ["tree", "ball", "--d", "3", "--radius", "2",
                                  "--tree-vertex-cap", "-2"],
     "max-pairs-negative": ["lattice", "sweep", "--tower", "Sym(2):2", "--max-pairs", "-1"],
+    "tate-prime-past-the-bound": ["tate", "verify", "--group", "Sym(3)",
+                                  "--p", str(2 ** 89 - 1)],
+    "core-prime-past-the-bound": ["series", "op", "--group", "Sym(4)", "--kind", "core",
+                                  "--pi", f"2,{2 ** 89 - 1}"],
+    "tate-composite-past-the-bound": ["tate", "verify", "--group", "Sym(3)",
+                                      "--p", str((2 ** 89 - 1) * (2 ** 61 - 1))],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -383,6 +404,13 @@ ERROR_TEXT = {
     "ball-vertex-cap-negative": "error: --ball-vertex-cap must be non-negative, got -7\n",
     "tree-vertex-cap-negative": "error: --tree-vertex-cap must be non-negative, got -2\n",
     "max-pairs-negative": "error: --max-pairs must be non-negative, got -1\n",
+    # a probable prime is refused where Miller-Rabin on 2..41 stops being
+    # a proof; a composite verdict is a proof at any size
+    "tate-prime-past-the-bound": f"error: cannot prove {2 ** 89 - 1} prime: Miller-Rabin "
+                                 "on bases 2..41 is exact only below 3317044064679887385961981\n",
+    "core-prime-past-the-bound": f"error: cannot prove {2 ** 89 - 1} prime: Miller-Rabin "
+                                 "on bases 2..41 is exact only below 3317044064679887385961981\n",
+    "tate-composite-past-the-bound": f"error: {(2 ** 89 - 1) * (2 ** 61 - 1)} is not prime\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}

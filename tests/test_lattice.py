@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from test_groups import _centralizer_scan, _intersection_scan
+from scan_oracles import centralizer_scan, intersection_scan
 from treeperm import cli, wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.groups import PermGroup, cyclic, symmetric, klein4
@@ -171,7 +171,7 @@ def test_sweep_intersection_count_matches_exhaustive(F, n):
     scanned = 0
     for c in lattice_sweep(T):
         if min(c.rist_a_order, c.rist_b_order) <= 5000:
-            exhaustive = _intersection_scan(rist_of(c.subset_a), rist_of(c.subset_b))
+            exhaustive = intersection_scan(rist_of(c.subset_a), rist_of(c.subset_b))
             assert exhaustive.order() == c.intersection_order, (hex(c.subset_a), hex(c.subset_b))
             scanned += 1
     assert scanned > 0
@@ -202,7 +202,7 @@ def test_centralizer_backtrack_matches_scan_on_sweep_rists(F, n):
     for bits in cone_union_pool(T):
         H = rist(T, bits)
         C = T.group.centralizer(H)
-        oracle = _centralizer_scan(T.group, H)
+        oracle = centralizer_scan(T.group, H)
         assert C.order() == oracle.order(), hex(bits)
         if H.generators:
             assert C.generators == oracle.generators, hex(bits)

@@ -6,6 +6,7 @@ from itertools import chain, zip_longest
 
 import pytest
 
+from scan_oracles import intersection_scan
 from treeperm.bsgs import StabilizerChain
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
@@ -275,7 +276,7 @@ def test_edge_ball_group_structure():
     assert (B.order(), tp.order()) == (8, 4)
     h0, h1 = half_ball_rigid_stabilizers(B)
     assert h0.order() == h1.order() == 2
-    assert h0.intersection(h1).order() == 1
+    assert intersection_scan(h0, h1).order() == 1
     assert h0.order() * h1.order() == tp.order()
 
 

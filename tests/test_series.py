@@ -2,6 +2,8 @@
 
 import pytest
 
+from scan_oracles import intersection_scan
+from treeperm import series
 from treeperm.errors import InputError
 from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, symmetric,
                              trivial)
@@ -17,6 +19,40 @@ def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == [2, 3, 5]
     assert p_part(360, 2) == 8 and p_part(360, 3) == 9 and p_part(360, 7) == 1
+
+
+def _trial_division_primes(limit):
+    return [n for n in range(2, limit) if all(n % f for f in range(2, int(n ** 0.5) + 1))]
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == _trial_division_primes(10 ** 5)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,         # ... to the bases 2..23
+    318665857834031151167461,    # ... to the bases 2..37: only base 41 exposes it
+    (2 ** 89 - 1) * (2 ** 61 - 1),  # past the bound, a composite verdict is still a proof
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_large_primes_below_the_bound():
+    assert is_prime(1000000000000000003) and is_prime(2 ** 61 - 1)
+    assert not is_prime(1000000000000000003 * 3)
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 89 - 1,                 # a prime past the bound
+    3317044064679887385961981,   # the bound: composite, yet strong to every base 2..41
+])
+def test_is_prime_refuses_probable_primes_past_the_bound(n):
+    with pytest.raises(InputError) as info:
+        is_prime(n)
+    assert str(info.value) == (f"cannot prove {n} prime: Miller-Rabin on bases 2..41 "
+                               "is exact only below 3317044064679887385961981")
 
 
 def test_sylow_examples():
@@ -200,11 +236,31 @@ def test_tate_examples():
 
 
 def test_tate_sweep_small_symmetric_groups():
-    for n in range(2, 5):
+    # |S ∩ O^p(G)|, read off |S|·|O^p(G)| / |G|, against a scan of S
+    pairs = 0
+    for n in range(2, 7):
         for cls in enumerate_subgroups_up_to_conjugacy(symmetric(n)):
             for p in prime_factors(cls.order):
                 r = tate_check(cls.rep, p)
                 assert not (r.hypothesis_holds and not r.conclusion_holds)
+                S, N = sylow_subgroup(cls.rep, p), p_residual(cls.rep, p)
+                assert r.intersection_order == intersection_scan(S, N).order()
+                pairs += 1
+    assert pairs == 142
+
+
+@pytest.mark.parametrize("last, product", [
+    ("(1 2)(3 4)", 16),          # not normal in Sym(4)
+    ("(1 2)(3 4); (1 3)(2 4)", 32),  # normal, but of index 6 in Sym(4)
+])
+def test_tate_refuses_a_residual_that_is_not_o_p(monkeypatch, last, product):
+    # Sym(4) > Alt(4) > a residual that is not O^2: |S|·|N| = 8·|N|
+    # is no multiple of 24
+    fake = PermGroup(4, [parse_cycles(c, 4) for c in last.split("; ")])
+    real = series.p_residual_series
+    monkeypatch.setattr(series, "p_residual_series", lambda G, p: real(G, p) + [fake])
+    with pytest.raises(AssertionError, match=rf"= {product} is not a multiple of \|G\| = 24"):
+        tate_check(symmetric(4), 2)
 
 
 def test_p_residual_series_descends():
