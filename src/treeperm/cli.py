@@ -229,6 +229,10 @@ def cmd_tate_verify(args, caps) -> tuple[object, int]:
 
 
 def cmd_series_op(args, caps) -> tuple[dict, int]:
+    if args.pi is not None and args.kind != "core":
+        raise InputError(f"--pi applies to --kind core only, not --kind {args.kind}")
+    if args.pi is not None and args.p is not None:
+        raise InputError("--kind core takes --pi or --p, not both")
     G = parse_group_spec(args.group)
     if args.kind == "sylow":
         if args.p is None:

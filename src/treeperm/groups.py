@@ -444,6 +444,8 @@ def parse_group_file(text: str, name: str | None = None) -> PermGroup:
         key = key.strip().lower()
         value = value.strip()
         if key == "degree":
+            if degree is not None:
+                raise InputError(f"line {lineno}: repeated 'degree:' line")
             try:
                 degree = int(value)
             except ValueError as exc:

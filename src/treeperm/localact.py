@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -61,6 +61,24 @@ def _local_action(ball: TreeBall, g: tuple, v: int) -> tuple:
         raise InputError(f"local action undefined: vertex {v} or image {w} is not interior")
     color = ball.color_of[w]
     return tuple([color[g[u]] for u in ball.nbrs_in_color_order[v]])
+
+
+def cocycle_defect(ball: TreeBall, g: tuple, h: tuple, gh: tuple) -> int | None:
+    """The first interior v where sigma(gh, v) != sigma(g, h(v)) o sigma(h, v),
+    or None: each sigma read off its raw permutation as `_local_action` does,
+    with its guard, in one pass over the interior."""
+    inside, color_of, nbrs = ball.interior_flags, ball.color_of, ball.nbrs_in_color_order
+    for v in ball.interior:
+        hv, w = h[v], gh[v]
+        ghv = g[hv]
+        if not (inside[w] and inside[hv] and inside[ghv]):
+            u, x = (v, w) if not inside[w] else (hv, ghv)
+            raise InputError(f"local action undefined: vertex {u} or image {x} is not interior")
+        col_gh, col_g, col_h, nh = color_of[w], color_of[ghv], color_of[hv], nbrs[hv]
+        for u in nbrs[v]:
+            if col_gh[gh[u]] != col_g[g[nh[col_h[h[u]]]]]:
+                return v
+    return None
 
 
 def panel_map(ball: TreeBall, g: Permutation) -> dict[int, Permutation]:
@@ -144,6 +162,13 @@ class Graft:
             colors = tuple(ball.color_of[v][u] for u in children)
             self.plan.append((v, parent, children, colors, cosets))
 
+    @cached_property
+    def steps(self) -> list[tuple]:
+        """The plan flat, as the walk and the sampler read it:
+        (v, parent, ((child, color), ...), cosets) per step."""
+        return [(v, parent, tuple(zip(children, colors)), cosets)
+                for v, parent, children, colors, cosets in self.plan]
+
     def count(self, swap: bool = False) -> int:
         """Graft count: product of per-vertex compatible-coset sizes.
 
@@ -205,9 +230,8 @@ class Graft:
             return
         identity_only = (tuple(range(self.ball.d)),)
         forced = dict.fromkeys(range(self.ball.d), identity_only)
-        steps = [(v, parent, tuple(zip(children, colors)),
-                  forced if v in forced_identity else cosets)
-                 for v, parent, children, colors, cosets in plan]
+        steps = [(v, parent, kids, forced if v in forced_identity else cosets)
+                 for v, parent, kids, cosets in self.steps] if forced_identity else self.steps
         first = identity_only if plan[0][0] in forced_identity else self._panels(plan[0], images)
         last = len(steps) - 1
         if last == 0:
@@ -406,7 +430,12 @@ def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = Fals
     A placement is a ball automorphism by construction: it skips the bijection
     check.  `rng.choice` draws as `rng.randrange` of the panel count does."""
     images = graft._roots(swap)
-    choice = rng.choice
-    for step in graft.plan:
-        graft._place(step, choice(graft._panels(step, images)), images)
+    choice, elems = rng.choice, graft.elems
+    color_of, nbr_by_color = graft.ball.color_of, graft.ball.nbr_by_color
+    for v, parent, kids, cosets in graft.steps:
+        sigma = choice(elems if cosets is None else
+                       cosets.get(color_of[images[v]][images[parent]], ()))
+        nbr = nbr_by_color[images[v]]
+        for u, c in kids:
+            images[u] = nbr[sigma[c]]
     return _trusted(tuple(images))

@@ -56,8 +56,13 @@ class TreeBall:
     def is_interior(self, v: int) -> bool:
         return self.interior_flags[v]
 
+    @cached_property
+    def interior(self) -> tuple[int, ...]:
+        """The interior vertices, in index order."""
+        return tuple(v for v, inside in enumerate(self.interior_flags) if inside)
+
     def interior_vertices(self) -> list[int]:
-        return [v for v, inside in enumerate(self.interior_flags) if inside]
+        return list(self.interior)
 
     def is_colored(self) -> bool:
         return self.color_of is not None

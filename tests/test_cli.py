@@ -353,6 +353,16 @@ MALFORMED = {
                                   "--pi", f"2,{2 ** 89 - 1}"],
     "tate-composite-past-the-bound": ["tate", "verify", "--group", "Sym(3)",
                                       "--p", str((2 ** 89 - 1) * (2 ** 61 - 1))],
+    "group-file-repeated-degree": ["series", "op", "--group", "degree: 3\ndegree: 4\ngen: (1 2)",
+                                   "--kind", "sylow", "--p", "2"],
+    "group-file-degree-after-gen": ["series", "op", "--group", "degree: 3\ngen: (1 2)\ndegree: 4",
+                                    "--kind", "sylow", "--p", "2"],
+    "sylow-with-pi": ["series", "op", "--group", "Sym(4)", "--kind", "sylow", "--p", "2",
+                      "--pi", "3"],
+    "residual-with-pi": ["series", "op", "--group", "Sym(4)", "--kind", "residual", "--p", "2",
+                         "--pi", "3"],
+    "core-with-p-and-pi": ["series", "op", "--group", "Sym(4)", "--kind", "core", "--p", "2",
+                           "--pi", "3"],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -411,6 +421,13 @@ ERROR_TEXT = {
     "core-prime-past-the-bound": f"error: cannot prove {2 ** 89 - 1} prime: Miller-Rabin "
                                  "on bases 2..41 is exact only below 3317044064679887385961981\n",
     "tate-composite-past-the-bound": f"error: {(2 ** 89 - 1) * (2 ** 61 - 1)} is not prime\n",
+    # a group file has one degree, wherever a second one stands
+    "group-file-repeated-degree": "error: line 2: repeated 'degree:' line\n",
+    "group-file-degree-after-gen": "error: line 3: repeated 'degree:' line\n",
+    # no flag is ignored: --pi only serves --kind core, and core takes one prime set
+    "sylow-with-pi": "error: --pi applies to --kind core only, not --kind sylow\n",
+    "residual-with-pi": "error: --pi applies to --kind core only, not --kind residual\n",
+    "core-with-p-and-pi": "error: --kind core takes --pi or --p, not both\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}

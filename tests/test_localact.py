@@ -13,8 +13,8 @@ from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
                              trivial)
 from treeperm import acceptance, wreath
-from treeperm.localact import (Graft, _local_action, ball_stabilizer_group, defect_set,
-                               edge_ball_group, half_ball_rigid_stabilizers, in_Uc,
+from treeperm.localact import (Graft, _local_action, ball_stabilizer_group, cocycle_defect,
+                               defect_set, edge_ball_group, half_ball_rigid_stabilizers, in_Uc,
                                is_ball_automorphism, local_action, panel_map,
                                random_ball_automorphism)
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
@@ -268,6 +268,77 @@ def test_criterion_6_builds_one_graft_per_configuration(monkeypatch):
     monkeypatch.setattr(Graft, "__init__", counting_init)
     assert acceptance.criterion_06_cocycle().ok
     assert len(built) == 8
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (1, "f70e50f44fa1d7fed20764745082185a0abd9fce572e6678de5483dfe0a75987"),
+    (29, "5c7c72adfb2a1515e1033d6c959e025743fad8f01d29cc2d187a036e42d5e2a7")])
+def test_criterion_6_samples_are_pinned(monkeypatch, seed, expected):
+    # sha256 of the 16 000 image tuples that criterion 6 samples at the
+    # benchmark's seeds, in draw order
+    digest, samples = hashlib.sha256(), []
+    sample = acceptance.random_ball_automorphism
+
+    def recording(*args, **kwargs):
+        g = sample(*args, **kwargs)
+        digest.update(repr(g.images).encode())
+        samples.append(1)
+        return g
+
+    monkeypatch.setattr(acceptance, "random_ball_automorphism", recording)
+    assert acceptance.criterion_06_cocycle(seed=seed).ok
+    assert len(samples) == 16000
+    assert digest.hexdigest() == expected
+
+
+def oracle_cocycle_defect(b, g, h, gh):
+    """The first interior v where sigma(gh, v) != sigma(g, h(v)) o sigma(h, v),
+    each side composed from single-vertex local actions."""
+    for v in b.interior_vertices():
+        if _local_action(b, gh, v) != _compose(_local_action(b, g, h[v]),
+                                               _local_action(b, h, v)):
+            return v
+    return None
+
+
+# criterion 6's eight configurations, then an edge-centered ball with swaps
+COCYCLE_CASES = [case[:4] for case in SAMPLER_CASES if not case[4]]
+
+
+@pytest.mark.parametrize("d, r, center, spec", COCYCLE_CASES,
+                         ids=[f"d{d}r{r}-{c}-{s}" for d, r, c, s in COCYCLE_CASES])
+def test_cocycle_defect_agrees_with_the_local_action_oracle(d, r, center, spec):
+    b = ball(d, r, center)
+    graft = Graft(b, parse_group_spec(spec))
+    rng = random.Random(d * 10 + r)
+    sample = lambda: random_ball_automorphism(
+        graft, rng, swap=center == "edge" and rng.random() < 0.5).images
+    found = set()
+    for _ in range(200):
+        g, h, k = sample(), sample(), sample()
+        # the true product satisfies the identity at every interior vertex
+        assert cocycle_defect(b, g, h, _compose(g, h)) is None
+        assert oracle_cocycle_defect(b, g, h, _compose(g, h)) is None
+        # a wrong one fails it first where the oracle says
+        for wrong in (_compose(h, g), k):
+            v = cocycle_defect(b, g, h, wrong)
+            assert v == oracle_cocycle_defect(b, g, h, wrong)
+            found.add(v)
+    assert found - {None}
+
+
+def test_cocycle_defect_guards_the_interior_as_local_action_does():
+    b = ball(3, 1)
+    ident = tuple(range(b.n_vertices))
+    swap = (1, 0, 2, 3)  # sends the center to the boundary
+    # the product, h, then g(h(v)) leaves the interior first
+    for g, h, gh in [(swap, ident, swap), (ident, swap, swap), (swap, swap, ident),
+                     (swap, ident, ident)]:
+        with pytest.raises(InputError) as expected:
+            oracle_cocycle_defect(b, g, h, gh)
+        with pytest.raises(InputError, match=r"^local action undefined: ") as info:
+            cocycle_defect(b, g, h, gh)
+        assert str(info.value) == str(expected.value)
 
 
 def test_edge_ball_group_structure():
