@@ -63,10 +63,16 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
     return caps
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _plain(o: object) -> dict:
-    """JSON hook: a dataclass instance prints as the dict of its fields."""
+    """JSON hook: a dataclass instance prints as the dict of its fields,
+    their names read once per dataclass type."""
     if is_dataclass(o) and not isinstance(o, type):
-        return {f.name: getattr(o, f.name) for f in fields(o)}
+        return {name: getattr(o, name) for name in _field_names(type(o))}
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 

@@ -12,14 +12,15 @@ certifies only the finite hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
-from .groups import PermGroup, closure_elements
+from .groups import PermGroup
 from .perms import _compose
 from .series import prime_factors, p_part
 from .subgroups import SubgroupClass, enumerate_subgroups_up_to_conjugacy
-from .treeball import build_ball, legal_coloring
+from .treeball import TreeBall, build_ball, legal_coloring
 from .localact import Graft
 
 CITES = {
@@ -78,10 +79,13 @@ def compute_facts(F: PermGroup, Fp: PermGroup) -> dict:
 
 
 def oracle_facts(F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> dict:
-    """The same facts by exhaustive closure only: no stabilizer chains."""
-    f_elems = closure_elements(F.degree, F.generators, caps.element_cap)
-    fp_elems = f_elems if Fp is F else closure_elements(Fp.degree, Fp.generators,
-                                                        caps.element_cap)
+    """The same facts by exhaustive closure only: no stabilizer chains.
+
+    Reads each group's cached `elements`, the chain-free closure that a
+    Graft over it has already built; no fact depends on element order.
+    """
+    f_elems = F.elements(caps)
+    fp_elems = f_elems if Fp is F else Fp.elements(caps)
 
     def orbit(elems, a):
         return {g(a) for g in elems}
@@ -177,8 +181,14 @@ def ball_stabilizer_order(F: PermGroup, radius: int, caps: Caps = DEFAULT_CAPS) 
     """
     if radius == 0:
         return 1
-    ball = legal_coloring(build_ball(F.degree, radius, "vertex", caps))
-    return Graft(ball, F, caps).count()
+    return Graft(_legal_vertex_ball(F.degree, radius, caps), F, caps).count()
+
+
+@lru_cache(maxsize=32)
+def _legal_vertex_ball(d: int, radius: int, caps: Caps) -> TreeBall:
+    """The legally colored vertex ball of one shape, shared by every F.
+    A cap refusal is raised again on each call: exceptions are not cached."""
+    return legal_coloring(build_ball(d, radius, "vertex", caps))
 
 
 def eta_estimate(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:

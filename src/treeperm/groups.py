@@ -21,6 +21,7 @@ with its points.
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence
@@ -422,6 +423,8 @@ def named_group(spec: str) -> PermGroup:
                 n = int(arg)
             except ValueError as exc:
                 raise InputError(f"bad family argument in {spec!r}") from exc
+            if n > sys.maxsize:
+                raise InputError(f"degree must be at most {sys.maxsize}, got {n}")
             return _FAMILY_BUILDERS[key](n)
     raise InputError(f"not a recognized group spec: {spec!r}")
 
@@ -452,6 +455,8 @@ def parse_group_file(text: str, name: str | None = None) -> PermGroup:
                 raise InputError(f"line {lineno}: bad degree {value!r}") from exc
             if degree < 1:
                 raise InputError(f"line {lineno}: degree must be positive")
+            if degree > sys.maxsize:
+                raise InputError(f"line {lineno}: degree must be at most {sys.maxsize}")
         elif key == "gen":
             if degree is None:
                 raise InputError(f"line {lineno}: 'degree:' must come before 'gen:'")

@@ -28,7 +28,7 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
 from .perms import Permutation, _trusted
-from .treeball import TreeBall, is_legal
+from .treeball import TreeBall
 
 
 # -- single-automorphism operations -----------------------------------------
@@ -128,13 +128,16 @@ class Graft:
     parent, its children with their colors, and the panels allowed at v
     keyed by the color j of the edge from v's image to its parent's image
     (the coset of F sending v's inward color to j), or None at a free
-    center, which takes every panel.  Panels are raw color image tuples
+    center, which takes every panel.  That table depends on the inward
+    color alone, so the plan builds one per color and the steps that
+    share a color share it, read-only.  Panels are raw color image tuples
     in the order of `F.elements()`, all of them in `elems`.
 
-    The coloring must be legal.  Then no coset is empty: the color that
-    v inherits is sigma_p(inward), for the panel sigma_p placed at its
-    parent, so sigma_p is allowed at v; at an edge endpoint the central
-    edge has one color from both sides, so the identity is.
+    The coloring must be legal (`ball.legality`, checked once per ball).
+    Then no coset is empty: the color that v inherits is sigma_p(inward),
+    for the panel sigma_p placed at its parent, so sigma_p is allowed at
+    v; at an edge endpoint the central edge has one color from both
+    sides, so the identity is.
     """
 
     def __init__(self, ball: TreeBall, F: PermGroup, caps: Caps = DEFAULT_CAPS):
@@ -142,7 +145,7 @@ class Graft:
             raise InputError("ball groups need a colored ball")
         if F.degree != ball.d:
             raise InputError(f"local group degree {F.degree} != arity {ball.d}")
-        legal, witness = is_legal(ball)
+        legal, witness = ball.legality
         if not legal:
             raise InputError(f"ball groups need a legal coloring: {witness}")
         self.ball = ball
@@ -150,14 +153,17 @@ class Graft:
         self.caps = caps
         self.elems = [sigma.images for sigma in F.elements(caps)]
         self.plan: list[tuple] = []
+        tables: dict[int, dict[int, list[tuple]]] = {}  # one per inward color
         for v in sorted(ball.interior_vertices(), key=lambda v: (ball.depth[v], v)):
             parent = ball.parent[v]
             cosets = None
             if parent is not None:
-                cosets = {}
                 inward = ball.color_of[v][parent]
-                for sigma in self.elems:
-                    cosets.setdefault(sigma[inward], []).append(sigma)
+                cosets = tables.get(inward)
+                if cosets is None:
+                    cosets = tables[inward] = {}
+                    for sigma in self.elems:
+                        cosets.setdefault(sigma[inward], []).append(sigma)
             children = tuple(ball.children[v])
             colors = tuple(ball.color_of[v][u] for u in children)
             self.plan.append((v, parent, children, colors, cosets))

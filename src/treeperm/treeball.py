@@ -47,6 +47,11 @@ class TreeBall:
                 for kids, par in zip(self.children, self.parent)]
 
     @cached_property
+    def legality(self) -> tuple[bool, str | None]:
+        """`is_legal(self)`, checked once per ball."""
+        return is_legal(self)
+
+    @cached_property
     def nbrs_in_color_order(self) -> list[tuple[int, ...] | None]:
         """Per interior vertex of a colored ball, its neighbors in color
         order 0..d-1; None at the boundary."""

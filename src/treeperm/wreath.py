@@ -130,9 +130,19 @@ def wreath_tower(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS) -> WreathT
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     d = F.degree
-    leaves = d ** depth
+    # d^depth one level at a time, refused at the first level past the cap,
+    # so a huge depth costs a few steps and never builds a huge integer
+    leaves, k = 1, 0
+    while leaves <= caps.leaf_cap and k < depth and d > 1:
+        leaves, k = leaves * d, k + 1
     if leaves > caps.leaf_cap:
-        raise ResourceLimitError("flatten leaves", caps.leaf_cap, leaves, "--leaf-cap")
+        what = "flatten leaves" if k == depth or d == 1 else \
+            f"flatten leaves (depth {k} of {depth})"
+        raise ResourceLimitError(what, caps.leaf_cap, leaves, "--leaf-cap")
+    interior = tower_vertex_count(d, depth)  # below `leaves` unless d == 1
+    if interior > caps.leaf_cap:
+        raise ResourceLimitError("tower interior vertices", caps.leaf_cap, interior,
+                                 "--leaf-cap")
     gens = []
     sites = []
     for v in _interior_vertices(d, depth):

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -176,6 +177,10 @@ def test_json_hook_prints_dataclasses_as_asdict_does():
     for bad in ({1, 2}, TateReport):
         with pytest.raises(TypeError):
             json.dumps(bad, default=_plain)
+    # field names are read once per type, and each instance's values are its own
+    reports = [DefectReport([1], []), DefectReport([], [2, 3])]
+    assert ([json.dumps(r, sort_keys=True, default=_plain) for r in reports]
+            == [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in reports])
 
 
 def test_lattice_rist(capsys):
@@ -282,6 +287,8 @@ COLOR_FILE = ["tree", "ball", "--d", "3", "--radius", "1", "--color", "file:{tmp
 TATE = ["tate", "verify", "--group", "Sym(3)", "--p", "2"]
 BALL = ["ball", "group", "--d", "3", "--radius", "2", "--F", "Sym(3)"]
 
+HUGE = 99999999999999999999  # past sys.maxsize, so no index can reach it
+
 MALFORMED = {
     "element-bad-json": DEFECTS + ["--radius", "2", "--element", "{bad"],
     "element-missing-file": DEFECTS + ["--radius", "2", "--element",
@@ -363,6 +370,14 @@ MALFORMED = {
                          "--pi", "3"],
     "core-with-p-and-pi": ["series", "op", "--group", "Sym(4)", "--kind", "core", "--p", "2",
                            "--pi", "3"],
+    "family-degree-past-maxsize": ["series", "op", "--group", f"Sym({HUGE})",
+                                   "--kind", "residual", "--p", "2"],
+    "group-file-degree-past-maxsize": ["series", "op", "--group", f"degree: {HUGE}\ngen: ()",
+                                       "--kind", "residual", "--p", "2"],
+    "wreath-base-degree-past-maxsize": ["wreath", "build", "--base", f"Sym({HUGE})",
+                                        "--depth", "1"],
+    "check-F-degree-past-maxsize": ["criteria", "check", "--d", "3", "--F", f"Cyc({HUGE})",
+                                    "--Fprime", "Sym(3)"],
 }
 
 # exact stderr where the message itself is pinned: a named family's own
@@ -428,6 +443,12 @@ ERROR_TEXT = {
     "sylow-with-pi": "error: --pi applies to --kind core only, not --kind sylow\n",
     "residual-with-pi": "error: --pi applies to --kind core only, not --kind residual\n",
     "core-with-p-and-pi": "error: --kind core takes --pi or --p, not both\n",
+    # a degree no index can reach is refused before anything is built
+    "family-degree-past-maxsize": f"error: degree must be at most {sys.maxsize}, got {HUGE}\n",
+    "group-file-degree-past-maxsize": f"error: line 1: degree must be at most {sys.maxsize}\n",
+    "wreath-base-degree-past-maxsize": f"error: degree must be at most {sys.maxsize}, "
+                                       f"got {HUGE}\n",
+    "check-F-degree-past-maxsize": f"error: degree must be at most {sys.maxsize}, got {HUGE}\n",
 }
 
 SHAPE = {"d": 3, "radius": 1, "center": "vertex"}
@@ -540,3 +561,77 @@ def test_no_state_carries_over_between_calls(capsys, case):
     build_parser.cache_clear()
     call(earlier)
     assert call(later) == first
+
+
+# a tower too deep to flatten is refused at the first level past a cap, in
+# a child process held to 1.5 GB of address space, so a regression ends in
+# a MemoryError there instead of exhausting the machine
+DEEP_TOWERS = {
+    "depth-10^12": (["wreath", "build", "--base", "Sym(2)", "--depth", "1000000000000"],
+                    "error: flatten leaves (depth 13 of 1000000000000) cap exceeded: "
+                    "requested 8192, cap 4096 (raise with --leaf-cap)\n"),
+    "rist-depth-10^20": (["lattice", "rist", "--tower", f"Sym(2):{HUGE}", "--subset", "root"],
+                         f"error: flatten leaves (depth 13 of {HUGE}) cap exceeded: "
+                         "requested 8192, cap 4096 (raise with --leaf-cap)\n"),
+    # a degree-1 base has one leaf at any depth, and one interior vertex per level
+    "degree-1-depth-20000": (["wreath", "build", "--base", "Sym(1)", "--depth", "20000"],
+                             "error: tower interior vertices cap exceeded: requested 20000, "
+                             "cap 4096 (raise with --leaf-cap)\n"),
+    "sweep-degree-1-depth-20000": (["lattice", "sweep", "--tower", "Sym(1):20000"],
+                                   "error: tower interior vertices cap exceeded: "
+                                   "requested 20000, cap 4096 (raise with --leaf-cap)\n"),
+    # a cap passed before the last level names the level reached
+    "depth-10-of-sym3": (["wreath", "build", "--base", "Sym(3)", "--depth", "10"],
+                         "error: flatten leaves (depth 8 of 10) cap exceeded: "
+                         "requested 6561, cap 4096 (raise with --leaf-cap)\n"),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+@pytest.mark.parametrize("case", DEEP_TOWERS, ids=DEEP_TOWERS.keys())
+def test_deep_tower_is_refused_in_bounded_time_and_memory(case):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    argv, expected = DEEP_TOWERS[case]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "treeperm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit)
+    elapsed = time.perf_counter() - t0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+    assert elapsed < 10, elapsed
+
+
+def test_leaf_cap_zero_still_refuses_the_root_leaf(capsys):
+    for base, depth in (("Sym(1)", "3"), ("Sym(2)", "0")):
+        code, out, err = run_cli(capsys, "wreath", "build", "--base", base, "--depth", depth,
+                                 "--leaf-cap", "0")
+        assert (code, out) == (1, "")
+        assert err == ("error: flatten leaves cap exceeded: requested 1, cap 0 "
+                       "(raise with --leaf-cap)\n")
+
+
+def test_survey_bytes_are_the_same_cold_and_warm(capsys):
+    from treeperm.criteria import _legal_vertex_ball
+    _legal_vertex_ball.cache_clear()
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "criteria", "survey", "--d", "5")
+        assert code == 0
+        outs.append(re.sub(r'"wall_time_ms": \d+', "", out))
+    assert _legal_vertex_ball.cache_info().hits > 0
+    assert outs[0] == outs[1]
+
+
+def test_tree_vertex_cap_refuses_after_the_ball_was_cached(capsys):
+    check = ["criteria", "check", "--d", "5", "--F", "Sym(5)", "--Fprime", "Sym(5)"]
+    assert run_cli(capsys, *check)[0] == 0
+    code, out, err = run_cli(capsys, *check, "--tree-vertex-cap", "20")
+    assert (code, out) == (1, "")
+    assert err == ("error: tree vertices cap exceeded: requested 26, cap 20 "
+                   "(raise with --tree-vertex-cap)\n")

@@ -127,3 +127,71 @@ def test_class_labels_name_the_families():
     labels = [class_label(c, 4, i) for i, c in enumerate(classes)]
     for expected in ("1", "C2", "C3", "C4", "V", "C2xC2", "D4", "A4", "S4"):
         assert expected in labels, labels
+
+
+# -- shared per-shape balls and the cached-closure oracle ----------------------
+
+def _sym_classes(degrees=(3, 4, 5)):
+    from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+    return [cls.rep for d in degrees
+            for cls in enumerate_subgroups_up_to_conjugacy(symmetric(d))]
+
+
+def test_ball_stabilizer_order_equals_an_uncached_graft_count():
+    from treeperm.criteria import ball_stabilizer_order
+    from treeperm.localact import Graft
+    from treeperm.treeball import build_ball, legal_coloring
+    for F in _sym_classes():
+        for radius in range(4):
+            fresh = legal_coloring(build_ball(F.degree, radius, "vertex"))
+            assert ball_stabilizer_order(F, radius) == Graft(fresh, F).count(), \
+                (F.generators, radius)
+
+
+def test_ball_cache_still_refuses_a_lower_tree_vertex_cap():
+    from treeperm.config import DEFAULT_CAPS
+    from treeperm.criteria import ball_stabilizer_order
+    from treeperm.errors import ResourceLimitError
+    F = symmetric(5)
+    ball_stabilizer_order(F, 2)  # 26 vertices, cached under the default caps
+    low = DEFAULT_CAPS.with_overrides(tree_vertex_cap=10)
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(ResourceLimitError) as info:
+            ball_stabilizer_order(F, 2, low)
+        assert str(info.value) == ("tree vertices cap exceeded: requested 26, "
+                                   "cap 10 (raise with --tree-vertex-cap)")
+    assert ball_stabilizer_order(F, 2) == 120 * 24 ** 5
+
+
+def _closure_ordered(G):
+    """A copy of G whose cached elements are in `closure_elements` BFS
+    order, the order the oracle read before it used `elements`."""
+    from treeperm.groups import closure_elements
+    H = PermGroup(G.degree, G.generators, name=G.name)
+    H._elements = tuple(closure_elements(G.degree, G.generators, 10 ** 5))
+    return H
+
+
+def test_oracle_facts_equal_their_closure_order_version():
+    groups = _sym_classes()
+    for F in groups:
+        assert oracle_facts(F, F) == oracle_facts(_closure_ordered(F), _closure_ordered(F)), \
+            F.generators
+    for F, Fp in [(alternating(5), symmetric(5)), (cyclic(5), dihedral(5)),
+                  (PermGroup(5, [parse_cycles("(1 2)", 5)]), symmetric(5)),
+                  (frobenius20(), alternating(5))]:
+        assert oracle_facts(F, Fp) == oracle_facts(_closure_ordered(F), _closure_ordered(Fp))
+        assert oracle_facts(F, Fp) == compute_facts(F, Fp)
+
+
+def test_oracle_element_cap_refusal_text_is_unchanged():
+    from treeperm.config import DEFAULT_CAPS
+    from treeperm.errors import ResourceLimitError
+    from treeperm.groups import closure_elements
+    caps = DEFAULT_CAPS.with_overrides(element_cap=50)
+    with pytest.raises(ResourceLimitError) as fresh:
+        closure_elements(5, symmetric(5).generators, 50)
+    for F in (symmetric(5), _closure_ordered(symmetric(5))):  # cold, then cached
+        with pytest.raises(ResourceLimitError) as info:
+            oracle_facts(F, F, caps)
+        assert str(info.value) == str(fresh.value)

@@ -587,10 +587,33 @@ def illegal_edge_ball():
 
 def test_illegal_coloring_is_refused_with_its_witness_edge():
     illegal = illegal_edge_ball()
-    for build in (Graft, edge_ball_group):
+    for build in (Graft, edge_ball_group, Graft):  # the last two read the cached legality
         with pytest.raises(InputError) as info:
             build(illegal, symmetric(3))
         assert str(info.value) == "ball groups need a legal coloring: edge 0<->2: colors 1 vs 2"
+    assert illegal.legality == (False, "edge 0<->2: colors 1 vs 2")
+
+
+def test_shared_coset_tables_equal_a_per_vertex_rebuild():
+    # one table per inward color, shared by every step with that color
+    for d in (3, 4, 5):
+        for F in (symmetric(d), alternating(d), cyclic(d), trivial(d)):
+            for kind in ("vertex", "edge"):
+                for r in (1, 2, 3):
+                    b = ball(d, r, kind)
+                    graft = Graft(b, F)
+                    tables = {}
+                    for v, parent, _, _, cosets in graft.plan:
+                        if parent is None:
+                            assert cosets is None and kind == "vertex" and v == 0
+                            continue
+                        inward = b.color_of[v][parent]
+                        rebuilt = {}
+                        for sigma in F.elements():
+                            rebuilt.setdefault(sigma.images[inward], []).append(sigma.images)
+                        assert cosets == rebuilt, (d, F.name, kind, r, v)
+                        assert tables.setdefault(inward, cosets) is cosets
+                    assert len(tables) <= d
 
 
 def test_illegal_coloring_with_an_overcounting_formula_is_refused():

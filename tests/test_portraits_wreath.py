@@ -209,3 +209,12 @@ def test_direct_square_generators_must_lie_in_the_square(bad, message):
     square.generators += (Permutation(bad),)
     with pytest.raises(AssertionError, match=message):
         square.order()
+
+
+def test_degree_one_tower_counts_its_interior_vertices_against_the_leaf_cap():
+    assert wreath_tower(symmetric(1), 5).group.order() == 1
+    caps = DEFAULT_CAPS.with_overrides(leaf_cap=4)
+    with pytest.raises(ResourceLimitError) as info:
+        wreath_tower(symmetric(1), 5, caps)
+    assert str(info.value) == ("tower interior vertices cap exceeded: requested 5, cap 4 "
+                               "(raise with --leaf-cap)")

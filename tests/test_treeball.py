@@ -46,6 +46,7 @@ def test_legal_coloring_is_valid_and_legal():
         ball = legal_coloring(build_ball(d, r, kind))
         assert is_valid_coloring(ball) == (True, None)
         assert is_legal(ball) == (True, None)
+        assert ball.legality == (True, None) and ball.legality is ball.legality
 
 
 def test_center_star_gets_all_colors():
@@ -74,6 +75,9 @@ def test_broken_reversal_is_located():
     assert is_valid_coloring(broken)[0]
     legal, witness = is_legal(broken)
     assert not legal and witness is not None
+    assert broken.legality == (legal, witness)
+    # an uncolored ball has no legal coloring: the cached check says so too
+    assert build_ball(3, 1).legality == (False, "ball has no coloring")
 
 
 def test_constant_coloring_is_invalid():
