@@ -178,7 +178,7 @@ def criterion_07_ball_order_formula(caps: Caps = DEFAULT_CAPS, seed: int = DEFAU
         for d, r, F in grid:
             ball = legal_coloring(build_ball(d, r, "vertex", caps))
             bg = ball_stabilizer_group(ball, F, caps)
-            m = len(ball.interior_vertices()) - 1
+            m = len(ball.interior) - 1
             stab = F.point_stabilizer(0).order()
             formula = F.order() * stab ** m
             if not (bg.order() == bg.enumerated_count == formula):

@@ -22,7 +22,7 @@ from .config import DEFAULT_CAPS, DEFAULT_SEED, TOOL_VERSION, Caps
 from .criteria import evaluate, survey
 from .errors import InputError, ResourceLimitError, read_input_file
 from .groups import PermGroup, parse_group_spec
-from .lattice import SubsetAlgebra, cone_bits, lattice_sweep, rist
+from .lattice import cone_bits, lattice_sweep, rist
 from .localact import (ball_stabilizer_group, defect_set, edge_ball_group,
                        is_ball_automorphism)
 from .perms import Permutation
@@ -45,21 +45,18 @@ def _read_json(spec: str, flag: str) -> dict:
     return data
 
 
+def _cap_flag(name: str) -> str:
+    """The flag of the `Caps` field `name`: `pair_cap` is the sweep's --max-pairs."""
+    return "--max-pairs" if name == "pair_cap" else "--" + name.replace("_", "-")
+
+
 def _caps_from_args(args: argparse.Namespace) -> Caps:
     """Caps with the flags given; a negative cap is an input error (0 is legal)."""
     caps = DEFAULT_CAPS.with_overrides(
-        element_cap=getattr(args, "element_cap", None),
-        subgroup_cap=getattr(args, "subgroup_cap", None),
-        leaf_cap=getattr(args, "leaf_cap", None),
-        ball_order_cap=getattr(args, "ball_order_cap", None),
-        ball_vertex_cap=getattr(args, "ball_vertex_cap", None),
-        tree_vertex_cap=getattr(args, "tree_vertex_cap", None),
-        pair_cap=getattr(args, "max_pairs", None),
-    )
+        **{f.name: getattr(args, f.name, None) for f in fields(Caps)})
     for name, value in vars(caps).items():
         if value < 0:
-            flag = "--max-pairs" if name == "pair_cap" else "--" + name.replace("_", "-")
-            raise InputError(f"{flag} must be non-negative, got {value}")
+            raise InputError(f"{_cap_flag(name)} must be non-negative, got {value}")
     return caps
 
 
@@ -286,7 +283,7 @@ def _parse_subset(T: WreathTower, spec: str) -> int:
     """Cone-union spec: comma-separated vertex paths of 1-based child
     indices ('1.2'), 'root' for everything, '' for empty; leading '~'
     complements the union."""
-    algebra = SubsetAlgebra(T.leaf_count)
+    full = cone_bits(T, ())
     text = spec.strip()
     complement = text.startswith("~")
     if complement:
@@ -294,7 +291,7 @@ def _parse_subset(T: WreathTower, spec: str) -> int:
     bits = 0
     for token in filter(None, (t.strip() for t in text.split(","))):
         if token == "root":
-            bits |= algebra.full
+            bits |= full
             continue
         try:
             path = tuple(int(x) - 1 for x in token.split("."))
@@ -305,7 +302,7 @@ def _parse_subset(T: WreathTower, spec: str) -> int:
         except InputError as exc:
             raise InputError(f"cone path {token!r} is not a vertex of the depth-{T.depth} "
                              f"tree (child indices 1..{T.arity})") from exc
-    return algebra.complement(bits) if complement else bits
+    return full ^ bits if complement else bits
 
 
 def cmd_lattice_rist(args, caps) -> tuple[dict, int]:
@@ -314,7 +311,7 @@ def cmd_lattice_rist(args, caps) -> tuple[dict, int]:
     R = rist(T, bits, caps)
     return {
         "tower": {"base_order": T.base.order(), "depth": T.depth, "leaves": T.leaf_count},
-        "subset_leaves": SubsetAlgebra(T.leaf_count).members(bits),
+        "subset_leaves": [i for i in range(T.leaf_count) if bits >> i & 1],
         "rist": _group_summary(R),
     }, 0
 
@@ -349,12 +346,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="seed for randomized property checks")
     p.add_argument("--out", help="write JSON here instead of stdout "
                                  "(TREEPERM_OUTDIR prefixes the path)")
-    p.add_argument("--element-cap", type=int, dest="element_cap")
-    p.add_argument("--subgroup-cap", type=int, dest="subgroup_cap")
-    p.add_argument("--leaf-cap", type=int, dest="leaf_cap")
-    p.add_argument("--ball-order-cap", type=int, dest="ball_order_cap")
-    p.add_argument("--ball-vertex-cap", type=int, dest="ball_vertex_cap")
-    p.add_argument("--tree-vertex-cap", type=int, dest="tree_vertex_cap")
+    for f in fields(Caps):
+        if f.name != "pair_cap":
+            p.add_argument(_cap_flag(f.name), type=int, dest=f.name)
 
 
 @functools.cache
@@ -455,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     l_rist.set_defaults(handler=cmd_lattice_rist)
     l_sweep = lat_sub.add_parser("sweep")
     l_sweep.add_argument("--tower", required=True)
-    l_sweep.add_argument("--max-pairs", type=int, dest="max_pairs")
+    l_sweep.add_argument(_cap_flag("pair_cap"), type=int, dest="pair_cap", metavar="MAX_PAIRS")
     _add_common(l_sweep)
     l_sweep.set_defaults(handler=cmd_lattice_sweep)
 

@@ -26,23 +26,6 @@ from .wreath import (WreathTower, _interior_vertices, rigid_stabilizer, tower_or
                      vertex_generator)
 
 
-@dataclass(frozen=True)
-class SubsetAlgebra:
-    """Finite Boolean algebra of subsets of {0..size-1} as bitmasks."""
-
-    size: int
-
-    @property
-    def full(self) -> int:
-        return (1 << self.size) - 1
-
-    def complement(self, a: int) -> int:
-        return self.full ^ a
-
-    def members(self, a: int) -> list[int]:
-        return [i for i in range(self.size) if a >> i & 1]
-
-
 # -- rigid stabilizers --------------------------------------------------------
 
 def cone_bits(T: WreathTower, vertex: tuple[int, ...]) -> int:
@@ -182,7 +165,7 @@ def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
     disjoint = alpha & beta == 0
     commutes = _commute_groupwise(A, B) if disjoint else None
 
-    comp = rist_of(SubsetAlgebra(T.leaf_count).complement(alpha))
+    comp = rist_of(cone_bits(T, ()) ^ alpha)
     contains = _commute_groupwise(comp, A)
     equals = None
     if T.group.order() <= caps.element_cap:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -83,7 +83,7 @@ def cocycle_defect(ball: TreeBall, g: tuple, h: tuple, gh: tuple) -> int | None:
 
 def panel_map(ball: TreeBall, g: Permutation) -> dict[int, Permutation]:
     """Local action at every interior vertex (images are interior too)."""
-    return {v: local_action(ball, g, v) for v in ball.interior_vertices()}
+    return {v: local_action(ball, g, v) for v in ball.interior}
 
 
 def in_Uc(ball: TreeBall, g: Permutation, F: PermGroup) -> bool:
@@ -125,7 +125,7 @@ class Graft:
     Build one per (ball, F) and reuse it: every ball group, graft count
     and random sample over that pair reads the same plan.  The plan has
     one step per interior vertex v, parents before children: v, its
-    parent, its children with their colors, and the panels allowed at v
+    parent, its (child, color) pairs, and the panels allowed at v
     keyed by the color j of the edge from v's image to its parent's image
     (the coset of F sending v's inward color to j), or None at a free
     center, which takes every panel.  That table depends on the inward
@@ -154,7 +154,7 @@ class Graft:
         self.elems = [sigma.images for sigma in F.elements(caps)]
         self.plan: list[tuple] = []
         tables: dict[int, dict[int, list[tuple]]] = {}  # one per inward color
-        for v in sorted(ball.interior_vertices(), key=lambda v: (ball.depth[v], v)):
+        for v in sorted(ball.interior, key=lambda v: (ball.depth[v], v)):
             parent = ball.parent[v]
             cosets = None
             if parent is not None:
@@ -164,16 +164,8 @@ class Graft:
                     cosets = tables[inward] = {}
                     for sigma in self.elems:
                         cosets.setdefault(sigma[inward], []).append(sigma)
-            children = tuple(ball.children[v])
-            colors = tuple(ball.color_of[v][u] for u in children)
-            self.plan.append((v, parent, children, colors, cosets))
-
-    @cached_property
-    def steps(self) -> list[tuple]:
-        """The plan flat, as the walk and the sampler read it:
-        (v, parent, ((child, color), ...), cosets) per step."""
-        return [(v, parent, tuple(zip(children, colors)), cosets)
-                for v, parent, children, colors, cosets in self.plan]
+            kids = tuple((u, ball.color_of[v][u]) for u in ball.children[v])
+            self.plan.append((v, parent, kids, cosets))
 
     def count(self, swap: bool = False) -> int:
         """Graft count: product of per-vertex compatible-coset sizes.
@@ -208,16 +200,16 @@ class Graft:
 
     def _panels(self, step: tuple, images: list[int]) -> Sequence[tuple]:
         """Panels allowed at the step's vertex, given its and its parent's images."""
-        v, parent, _, _, cosets = step
+        v, parent, _, cosets = step
         if cosets is None:
             return self.elems
         return cosets.get(self.ball.color_of[images[v]][images[parent]], ())
 
     def _place(self, step: tuple, sigma: tuple, images: list[int]) -> None:
         """Place the images of the step vertex's children as its panel dictates."""
-        v, _, children, colors, _ = step
-        nbr = self.ball.nbr_by_color[images[v]]
-        for u, c in zip(children, colors):
+        v, _, kids, _ = step
+        nbr = self.ball.nbrs_in_color_order[images[v]]
+        for u, c in kids:
             images[u] = nbr[sigma[c]]
 
     def _walk(self, images: list[int | None], forced_identity: frozenset[int] = frozenset()):
@@ -235,16 +227,17 @@ class Graft:
             yield (None,)
             return
         identity_only = (tuple(range(self.ball.d)),)
-        forced = dict.fromkeys(range(self.ball.d), identity_only)
-        steps = [(v, parent, kids, forced if v in forced_identity else cosets)
-                 for v, parent, kids, cosets in self.steps] if forced_identity else self.steps
         first = identity_only if plan[0][0] in forced_identity else self._panels(plan[0], images)
-        last = len(steps) - 1
+        if forced_identity:
+            forced = dict.fromkeys(range(self.ball.d), identity_only)
+            plan = [(v, parent, kids, forced if v in forced_identity else cosets)
+                    for v, parent, kids, cosets in plan]
+        last = len(plan) - 1
         if last == 0:
             yield first
             return
         color_of = self.ball.color_of
-        nbr_by_color = self.ball.nbr_by_color
+        nbrs = self.ball.nbrs_in_color_order
         options: list[Sequence[tuple]] = [()] * last
         tried = [0] * last
         options[0] = first
@@ -257,11 +250,11 @@ class Graft:
                 continue
             tried[k] = c + 1
             sigma = panels[c]
-            nbr = nbr_by_color[images[steps[k][0]]]
-            for u, col in steps[k][2]:
+            nbr = nbrs[images[plan[k][0]]]
+            for u, col in plan[k][2]:
                 images[u] = nbr[sigma[col]]
             k += 1
-            v, parent, _, cosets = steps[k]
+            v, parent, _, cosets = plan[k]
             panels = cosets[color_of[images[v]][images[parent]]]
             if k == last:
                 yield panels
@@ -285,13 +278,10 @@ class Graft:
         if not self.plan:
             yield tuple(images)
             return
-        v, _, children, colors, _ = self.plan[-1]
-        nbr_by_color = self.ball.nbr_by_color
+        last = self.plan[-1]
         for panels in self._walk(images, forced_identity):
-            nbr = nbr_by_color[images[v]]
             for sigma in panels:
-                for u, col in zip(children, colors):
-                    images[u] = nbr[sigma[col]]
+                self._place(last, sigma, images)
                 yield tuple(images)
 
     def _generators(self) -> list[tuple[int, tuple]]:
@@ -327,7 +317,7 @@ class Graft:
             g = _trusted(images)  # `_group` validated the tuple
             if not (is_ball_automorphism(ball, g)
                     and all(in_F(_local_action(ball, images, v))
-                            for v in ball.interior_vertices())
+                            for v in ball.interior)
                     and all(images[v] == v for v in fixed)):
                 raise AssertionError(f"ball generator {g.cycle_string()} is not "
                                      f"in the graft set of {self.F.name or 'F'}")
@@ -359,8 +349,6 @@ class BallGroup:
     group: PermGroup
     enumerated_count: int
     formula_count: int
-    fixing_count: int | None = None
-    swap_count: int | None = None
     # endpoint-fixing subgroup of an edge ball group
     type_preserving: PermGroup | None = None
 
@@ -401,8 +389,7 @@ def edge_ball_group(ball: TreeBall, F: PermGroup,
     group = graft._group(gens + [tuple(swap)], fixing + swapping)
     count = _check_walk(group, _check_walk(tp, graft._count(False)) + graft._count(True))
     return BallGroup(graft=graft, group=group, enumerated_count=count,
-                     formula_count=fixing + swapping, fixing_count=fixing,
-                     swap_count=swapping, type_preserving=tp)
+                     formula_count=fixing + swapping, type_preserving=tp)
 
 
 def half_ball_rigid_stabilizers(B: BallGroup) -> tuple[PermGroup, PermGroup]:
@@ -437,11 +424,11 @@ def random_ball_automorphism(graft: Graft, rng: random.Random, swap: bool = Fals
     check.  `rng.choice` draws as `rng.randrange` of the panel count does."""
     images = graft._roots(swap)
     choice, elems = rng.choice, graft.elems
-    color_of, nbr_by_color = graft.ball.color_of, graft.ball.nbr_by_color
-    for v, parent, kids, cosets in graft.steps:
+    color_of, nbrs = graft.ball.color_of, graft.ball.nbrs_in_color_order
+    for v, parent, kids, cosets in graft.plan:
         sigma = choice(elems if cosets is None else
                        cosets.get(color_of[images[v]][images[parent]], ()))
-        nbr = nbr_by_color[images[v]]
+        nbr = nbrs[images[v]]
         for u, c in kids:
             images[u] = nbr[sigma[c]]
     return _trusted(tuple(images))

@@ -28,7 +28,8 @@ class TreeBall:
     children: list[list[int]]
     # colors: color_of[v][u] = color of the directed edge v -> u
     color_of: list[dict[int, int]] | None = None
-    nbr_by_color: list[dict[int, int]] | None = None
+    # per interior vertex of a colored ball, its neighbors in color order; None elsewhere
+    nbrs_in_color_order: list[tuple[int, ...] | None] | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -52,31 +53,12 @@ class TreeBall:
         return is_legal(self)
 
     @cached_property
-    def nbrs_in_color_order(self) -> list[tuple[int, ...] | None]:
-        """Per interior vertex of a colored ball, its neighbors in color
-        order 0..d-1; None at the boundary."""
-        return [tuple(nbr[c] for c in range(self.d)) if inside else None
-                for nbr, inside in zip(self.nbr_by_color, self.interior_flags)]
-
-    def is_interior(self, v: int) -> bool:
-        return self.interior_flags[v]
-
-    @cached_property
     def interior(self) -> tuple[int, ...]:
         """The interior vertices, in index order."""
         return tuple(v for v, inside in enumerate(self.interior_flags) if inside)
 
-    def interior_vertices(self) -> list[int]:
-        return list(self.interior)
-
     def is_colored(self) -> bool:
         return self.color_of is not None
-
-    def inward_color(self, v: int) -> int:
-        """Color of the edge from v to its parent."""
-        if self.parent[v] is None:
-            raise InputError(f"vertex {v} has no parent edge")
-        return self.color_of[v][self.parent[v]]
 
     def directed_edges(self) -> list[tuple[int, int, int]]:
         """(id, origin, target); reversal of edge e is e ^ 1."""
@@ -176,25 +158,32 @@ def legal_coloring(ball: TreeBall) -> TreeBall:
         paint(0, 1, 0)
     order = sorted(range(ball.n_vertices), key=lambda v: (ball.depth[v], v))
     for v in order:
+        kids = ball.children[v]
+        if not kids:
+            continue
         if ball.center_kind == "vertex" and v == 0:
-            free = list(range(d))
+            free = range(d)
         else:
-            free = sorted(set(range(d)) - {color_of[v][ball.parent[v]]})
-        for slot, u in enumerate(ball.children[v]):
-            paint(v, u, free[slot])
+            inward = color_of[v][ball.parent[v]]
+            free = [c for c in range(d) if c != inward]
+        for u, c in zip(kids, free):
+            paint(v, u, c)
     return _with_colors(ball, color_of)
 
 
 def _with_colors(ball: TreeBall, color_of: list[dict[int, int]]) -> TreeBall:
-    nbr = [dict() for _ in range(ball.n_vertices)]
-    for v in range(ball.n_vertices):
-        for u, c in color_of[v].items():
-            if c in nbr[v]:
+    """`ball` colored by `color_of`, refused if a vertex uses a color twice."""
+    inside = ball.interior_flags
+    nbrs: list[tuple[int, ...] | None] = []
+    for v, colors in enumerate(color_of):
+        by_color: dict[int, int] = {}
+        for u, c in colors.items():
+            if by_color.setdefault(c, u) != u:
                 raise InputError(f"vertex {v}: color {c + 1} used twice")
-            nbr[v][c] = u
+        nbrs.append(tuple(by_color[c] for c in range(ball.d)) if inside[v] else None)
     return TreeBall(d=ball.d, radius=ball.radius, center_kind=ball.center_kind,
                     parent=ball.parent, depth=ball.depth, children=ball.children,
-                    color_of=color_of, nbr_by_color=nbr)
+                    color_of=color_of, nbrs_in_color_order=nbrs)
 
 
 def coloring_from_edges(ball: TreeBall, edge_colors: dict[tuple[int, int], int]) -> TreeBall:

@@ -192,6 +192,20 @@ def test_lattice_rist(capsys):
     assert doc["result"]["subset_leaves"] == [0, 1]
 
 
+def test_lattice_rist_complements_a_subset(capsys):
+    # a leading '~' complements the union after it; alone, the empty union
+    def result(subset):
+        code, out, _ = run_cli(capsys, "lattice", "rist", "--tower", "Sym(2):2",
+                               "--subset", subset)
+        assert code == 0
+        return parse_json(out)["result"]
+
+    assert result("~1") == result("2")
+    assert result("~1")["subset_leaves"] == [2, 3]
+    assert result("~") == result("root")
+    assert result("~")["subset_leaves"] == [0, 1, 2, 3]
+
+
 def test_lattice_sweep(capsys):
     code, out, _ = run_cli(capsys, "lattice", "sweep", "--tower", "Sym(2):2",
                            "--max-pairs", "20")

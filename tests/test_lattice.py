@@ -9,8 +9,8 @@ from scan_oracles import centralizer_scan, intersection_scan
 from treeperm import cli, wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.groups import PermGroup, cyclic, symmetric, klein4
-from treeperm.lattice import (SubsetAlgebra, cone_bits, cone_union_pool, count_supported,
-                              lattice_check_pair, lattice_sweep, rist)
+from treeperm.lattice import (cone_bits, cone_union_pool, count_supported, lattice_check_pair,
+                              lattice_sweep, rist)
 from treeperm.perms import parse_cycles
 from treeperm.wreath import tower_order, wreath_tower
 
@@ -31,18 +31,10 @@ def rist_exhaustive(G, bits):
         G.degree, (g.images for g in G.elements() if support(g) & ~bits == 0))
 
 
-def test_subset_algebra_ops():
-    A = SubsetAlgebra(4)
-    assert A.full == 0b1111
-    assert A.complement(0b0101) == 0b1010
-    assert A.members(0b0101) == [0, 2]
-
-
 def test_rist_trivials():
     T = wreath_tower(symmetric(2), 2)
-    A = SubsetAlgebra(4)
     assert rist(T, 0).order() == 1
-    assert rist(T, A.full).order() == T.group.order()
+    assert rist(T, 0b1111).order() == T.group.order()
     # a transitive base gives a transitive tower, an intransitive one does not
     assert T.group.is_transitive()
     F = PermGroup(3, [parse_cycles("(1 2)", 3)])

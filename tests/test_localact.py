@@ -26,10 +26,16 @@ def ball(d, r, kind="vertex"):
     return legal_coloring(build_ball(d, r, kind))
 
 
+def neighbors_by_color(b):
+    """Per vertex, its neighbors keyed by color: `color_of` inverted, so an
+    oracle reading it does not read the ball's own neighbor table."""
+    return [{c: u for u, c in colors.items()} for colors in b.color_of]
+
+
 def test_local_action_of_identity():
     b = ball(3, 2)
     ident = Permutation.identity(b.n_vertices)
-    for v in b.interior_vertices():
+    for v in b.interior:
         assert local_action(b, ident, v).is_identity()
 
 
@@ -61,7 +67,7 @@ def test_cocycle_identity_exhaustive_on_small_ball_group():
     B = ball_stabilizer_group(b, symmetric(3))
     elems = B.group.elements()
     assert len(elems) == 48
-    interior = b.interior_vertices()
+    interior = b.interior
     for g in elems:
         for h in elems:
             gh = g * h
@@ -110,12 +116,13 @@ def test_defect_of_one_odd_panel():
     b = ball(3, 2)
     F, Fp = alternating(3), symmetric(3)
     v = 1
-    i = b.inward_color(v)
+    i = b.color_of[v][b.parent[v]]
     others = [c for c in range(3) if c != i]
     sigma = parse_cycles(f"({others[0] + 1} {others[1] + 1})", 3)  # odd, fixes i
     images = list(range(b.n_vertices))
+    nbr = neighbors_by_color(b)[v]
     for u in b.children[v]:
-        images[u] = b.nbr_by_color[v][sigma(b.color_of[v][u])]
+        images[u] = nbr[sigma(b.color_of[v][u])]
     g = Permutation(images)
     assert is_ball_automorphism(b, g)
     report = defect_set(b, g, F, Fp)
@@ -222,7 +229,7 @@ def oracle_is_interior(b, v):
 
 
 def oracle_local_action(b, g, v):
-    nbr = b.nbr_by_color[v]
+    nbr = {c: u for u, c in b.color_of[v].items()}
     color = b.color_of[g[v]]
     return tuple([color[g[nbr[c]]] for c in range(b.d)])
 
@@ -236,14 +243,20 @@ def test_ball_tables_agree_with_their_oracles():
                 flags = [oracle_is_interior(plain, v) for v in range(plain.n_vertices)]
                 for b in (plain, legal_coloring(plain), random_legal_coloring(plain, rng)):
                     assert b.interior_flags == flags
-                    assert b.interior_vertices() == [v for v, f in enumerate(flags) if f]
+                    assert b.interior == tuple(v for v, f in enumerate(flags) if f)
                     if not b.is_colored():
+                        assert b.nbrs_in_color_order is None
                         continue
+                    for v, (colors, nbrs) in enumerate(zip(b.color_of, b.nbrs_in_color_order)):
+                        if flags[v]:
+                            assert {u: c for c, u in enumerate(nbrs)} == colors
+                        else:
+                            assert nbrs is None
                     graft = Graft(b, symmetric(d))
                     for swap in {False, center == "edge"}:
                         for _ in range(2):
                             g = random_ball_automorphism(graft, rng, swap).images
-                            for v in b.interior_vertices():
+                            for v in b.interior:
                                 assert _local_action(b, g, v) == oracle_local_action(b, g, v)
 
 
@@ -254,7 +267,7 @@ def test_a_colored_copy_keeps_its_own_tables():
     assert colored.parent is plain.parent and colored.children is plain.children
     assert colored.interior_flags == flags and colored.interior_flags is not flags
     assert colored.nbrs_in_color_order[0] == (1, 2, 3)
-    assert "nbrs_in_color_order" not in vars(plain)
+    assert plain.nbrs_in_color_order is None
 
 
 def test_criterion_6_builds_one_graft_per_configuration(monkeypatch):
@@ -294,7 +307,7 @@ def test_criterion_6_samples_are_pinned(monkeypatch, seed, expected):
 def oracle_cocycle_defect(b, g, h, gh):
     """The first interior v where sigma(gh, v) != sigma(g, h(v)) o sigma(h, v),
     each side composed from single-vertex local actions."""
-    for v in b.interior_vertices():
+    for v in b.interior:
         if _local_action(b, gh, v) != _compose(_local_action(b, g, h[v]),
                                                _local_action(b, h, v)):
             return v
@@ -367,8 +380,8 @@ def test_swap_count_equals_fixing_count_for_legal_colorings():
     for r in (1, 2):
         b = ball(3, r, "edge")
         B = edge_ball_group(b, symmetric(3))
-        assert B.fixing_count == B.swap_count == B.order() // 2
-        assert B.type_preserving.order() == B.fixing_count
+        assert B.graft.count() == B.graft.count(swap=True) == B.order() // 2
+        assert B.type_preserving.order() == B.graft.count()
 
 
 def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
@@ -379,12 +392,13 @@ def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
     walk = Graft._walk
 
     def counted_leaves(self, images, *args, **kwargs):
-        v, _, children, colors, _ = self.plan[-1]
+        v, _, kids, _ = self.plan[-1]
+        nbr = neighbors_by_color(self.ball)
         for panels in walk(self, images, *args, **kwargs):
             for sigma in panels:
                 leaf = list(images)
-                for u, c in zip(children, colors):
-                    leaf[u] = self.ball.nbr_by_color[images[v]][sigma[c]]
+                for u, c in kids:
+                    leaf[u] = nbr[images[v]][sigma[c]]
                 leaves.append(tuple(leaf))
             yield panels
 
@@ -403,7 +417,8 @@ def recursive_leaves(b, F, swap, forced_identity=frozenset()):
     depth first over the interior vertices in BFS order, panels in the
     order of F.elements(), children placed as each panel dictates."""
     elems = F.elements()
-    interior = sorted(b.interior_vertices(), key=lambda v: (b.depth[v], v))
+    interior = sorted(b.interior, key=lambda v: (b.depth[v], v))
+    nbr = neighbors_by_color(b)
     images = [None] * b.n_vertices
     if b.center_kind == "vertex":
         images[0] = 0
@@ -415,7 +430,7 @@ def recursive_leaves(b, F, swap, forced_identity=frozenset()):
         if b.parent[v] is None:
             out = elems
         else:
-            i = b.inward_color(v)
+            i = b.color_of[v][b.parent[v]]
             j = b.color_of[images[v]][images[b.parent[v]]]
             out = [sigma for sigma in elems if sigma(i) == j]
         if v in forced_identity:
@@ -429,7 +444,7 @@ def recursive_leaves(b, F, swap, forced_identity=frozenset()):
         v = interior[idx]
         for sigma in choices(v):
             for u in b.children[v]:
-                images[u] = b.nbr_by_color[images[v]][sigma(b.color_of[v][u])]
+                images[u] = nbr[images[v]][sigma(b.color_of[v][u])]
             yield from rec(idx + 1)
 
     yield from rec(0)
@@ -441,7 +456,7 @@ def half(b, endpoint):
         while v not in (0, 1):
             v = b.parent[v]
         return v
-    return frozenset(v for v in b.interior_vertices() if side(v) == endpoint)
+    return frozenset(v for v in b.interior if side(v) == endpoint)
 
 
 # every ball group of the benchmark's balls workload: (d, radius, F, center)
@@ -461,12 +476,13 @@ SHORT_PLANS = [(3, 0, "Sym(3)", "vertex"), (3, 0, "Sym(3)", "edge"), (3, 1, "Sym
 
 def last_coset_size(b, F, forced):
     """How many panels the last interior vertex allows under a legal coloring."""
-    interior = sorted(b.interior_vertices(), key=lambda v: (b.depth[v], v))
+    interior = sorted(b.interior, key=lambda v: (b.depth[v], v))
     if not interior or interior[-1] in forced:
         return 1
     if b.parent[interior[-1]] is None:
         return F.order()
-    return F.point_stabilizer(b.inward_color(interior[-1])).order()
+    v = interior[-1]
+    return F.point_stabilizer(b.color_of[v][b.parent[v]]).order()
 
 
 @pytest.mark.parametrize("d, r, spec, center", BALL_POOL + SHORT_PLANS,
@@ -557,7 +573,7 @@ def test_formula_is_exact_under_random_legal_colorings(d, spec, max_radius):
                     B = edge_ball_group(b, F)
                     h0, h1 = half_ball_rigid_stabilizers(B)
                     assert h0.order() * h1.order() == B.type_preserving.order() \
-                        == B.fixing_count
+                        == B.graft.count()
                 assert B.order() == B.enumerated_count == B.formula_count
                 # no coset is empty, so sampling never dead-ends
                 for swap in {False, center == "edge"}:
@@ -603,7 +619,7 @@ def test_shared_coset_tables_equal_a_per_vertex_rebuild():
                     b = ball(d, r, kind)
                     graft = Graft(b, F)
                     tables = {}
-                    for v, parent, _, _, cosets in graft.plan:
+                    for v, parent, _, cosets in graft.plan:
                         if parent is None:
                             assert cosets is None and kind == "vertex" and v == 0
                             continue

@@ -1,5 +1,7 @@
 """Tree balls, colorings, legality."""
 
+import time
+
 import pytest
 
 from treeperm.config import DEFAULT_CAPS
@@ -28,14 +30,14 @@ def test_level_counts_vertex_center():
 def test_edge_center_counts():
     b = build_ball(3, 1, "edge")
     assert b.n_vertices == 6
-    assert b.is_interior(0) and b.is_interior(1)
+    assert b.interior_flags[0] and b.interior_flags[1]
     b2 = build_ball(3, 2, "edge")
     assert b2.n_vertices == 2 + 2 * (2 + 4)
 
 
 def test_interior_boundary_split():
     b = build_ball(3, 2)
-    interior = b.interior_vertices()
+    interior = b.interior
     assert len(interior) == 4  # center + 3 at level 1
     assert all(b.depth[v] <= 1 for v in interior)
 
@@ -63,6 +65,18 @@ def test_legal_coloring_is_deterministic():
     assert a.color_of == b.color_of
 
 
+def test_legal_coloring_is_linear_in_the_arity():
+    # a vertex builds its free colors in one pass, and a leaf builds none;
+    # a sorted set difference at every vertex made this quadratic in d
+    d = 20000
+    t0 = time.perf_counter()
+    ball = legal_coloring(build_ball(d, 1))
+    assert time.perf_counter() - t0 < 2.0
+    assert ball.color_of[0] == {u: u - 1 for u in range(1, d + 1)}
+    assert ball.nbrs_in_color_order[0] == tuple(range(1, d + 1))
+    assert ball.nbrs_in_color_order[1] is None
+
+
 def test_broken_reversal_is_located():
     ball = legal_coloring(build_ball(3, 1))
     colors = {}
@@ -86,7 +100,7 @@ def test_constant_coloring_is_invalid():
     for v in range(ball.n_vertices):
         for u in ball.neighbors(v):
             colors[(v, u)] = 0
-    with pytest.raises(InputError, match="used twice"):
+    with pytest.raises(InputError, match=r"^vertex 0: color 1 used twice$"):
         coloring_from_edges(ball, colors)
 
 
