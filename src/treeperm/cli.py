@@ -245,7 +245,7 @@ def cmd_series_op(args, caps) -> tuple[dict, int]:
         details = {"p": args.p, "p_part": p_part(G.order(), args.p),
                    "index_coprime_to_p": (G.order() // H.order()) % args.p != 0}
     elif args.kind == "core":
-        if args.pi:
+        if args.pi is not None:
             primes = parse_prime_set(args.pi)
         elif args.p is not None:
             primes = frozenset({args.p})

@@ -8,6 +8,7 @@ conjugation sifting; nothing is reported normal without a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
@@ -79,6 +80,8 @@ def parse_prime_set(text: str) -> frozenset[int]:
         primes = frozenset(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise InputError(f"prime set must be integers, got {text!r}") from exc
+    if not primes:
+        raise InputError(f"prime set must name at least one prime, got {text!r}")
     for p in primes:
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
@@ -111,19 +114,27 @@ def verify_normal(G: PermGroup, N: PermGroup) -> bool:
 # -- Sylow subgroups ---------------------------------------------------------
 
 def sylow_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """A p-Sylow subgroup by greedy closure of normalizing p-elements.
+    """A p-Sylow subgroup: in closed form for Sym or Alt of the points
+    moved, otherwise by greedy closure of normalizing p-elements.
 
-    Starts from a p-element of maximal order and repeatedly adjoins
-    p-elements of the normalizer until the p-part of |G| is reached.
-    Returns the trivial group when p does not divide |G|.
-
-    Scans H <= G, not G (Seress, *Permutation Group Algorithms*, §4.7):
+    First reduces G to H (Seress, *Permutation Group Algorithms*, §4.7):
     while the smallest point b moved by H has an orbit of length prime
-    to p, a Sylow p-subgroup of H_b is one of G, and H becomes H_b.  H
-    fixes every point below b, so H_b leads H's sorted element list and,
-    by induction, G's.  H holds a Sylow subgroup of G, so the first
-    p-element of maximal order and, at each step, the first normalizing
-    p-element outside S lie in that block, so a scan of all of G picks them too.
+    to p, a Sylow p-subgroup of H_b is one of G, and H becomes H_b.
+
+    If H moves m points and |H| is m! or m!/2, then H is Sym or Alt of
+    those points, since Alt is the only subgroup of index 2 in Sym.  The
+    Sylow subgroup is then built as in `_sym_sylow_generators` (sympy's
+    `_sylow_alt_sym` cuts the points the same way), and its chain order,
+    its structural order and the p-part of |G| must agree.
+
+    Any other H is scanned: starting from a p-element of maximal order,
+    the scan adjoins p-elements of the normalizer until the p-part of
+    |G| is reached.  H fixes every point below b, so H_b leads H's sorted
+    element list and, by induction, G's.  H holds a Sylow subgroup of G,
+    so the first p-element of maximal order and, at each step, the first
+    normalizing p-element outside S lie in that block, so a scan of all
+    of G picks them too.  Returns the trivial group when p does not
+    divide |G|.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -132,33 +143,89 @@ def sylow_subgroup(G: PermGroup, p: int, caps: Caps = DEFAULT_CAPS) -> PermGroup
         return PermGroup(G.degree, [], name=f"Sylow_{p}(trivial)")
     H = G
     while True:
-        b = min(i for g in H.generators for i, x in enumerate(g.images) if x != i)
-        if len(H.orbit(b)) % p == 0:
+        support = sorted({i for g in H.generators for i, x in enumerate(g.images) if x != i})
+        if len(H.orbit(support[0])) % p == 0:
             break
-        H = H.point_stabilizer(b)
-    elements = H.elements(caps)
+        H = H.point_stabilizer(support[0])
+    full = factorial(len(support))
+    if H.order() in (full, full // 2):
+        gens, structural = _sym_sylow_generators(G.degree, support, p)
+        if H.order() != full and p == 2:
+            # Schreier generators of the even part, with transversal {1, t}
+            t = next(g for g in gens if _is_odd(g))
+            t_inv = t.inverse()
+            gens = [h for g in gens for h in
+                    ((g * t_inv, t * g) if _is_odd(g) else (g, t * g * t_inv))]
+            structural //= 2
+        S = PermGroup(G.degree, gens)
+        if S.order() != structural or not all(G.membership(g) for g in S.generators):
+            raise AssertionError(f"Sylow {p}-subgroup of Sym or Alt on {len(support)} points "
+                                 f"has order {S.order()}, not {structural}, or escapes G")
+    else:
+        S = _sylow_scan(H, p, target, caps)
+    if S.order() != target or (G.order() // S.order()) % p == 0:
+        raise AssertionError("Sylow characterization failed")
+    return S
+
+
+def _sym_sylow_generators(degree: int, points: list[int], p: int
+                          ) -> tuple[list[Permutation], int]:
+    """Generators and order of a Sylow p-subgroup of Sym(points).
+
+    With len(points) = sum a_k p^k in base p, the points are cut into
+    a_k blocks of p^k consecutive points, largest blocks first.  A block
+    gets the k generators of the iterated wreath product of C_p: the
+    j-th cyclically shifts the p sub-blocks of size p^j inside the
+    block's first p^(j+1) points.  The order is the product of the
+    p^(a_k (p^k - 1)/(p - 1)).
+    """
+    digits = []
+    m = len(points)
+    while m:
+        m, a = divmod(m, p)
+        digits.append(a)
+    gens, exponent, start = [], 0, 0
+    for k in reversed(range(len(digits))):
+        for _ in range(digits[k]):
+            block = points[start:start + p ** k]
+            start += p ** k
+            exponent += (p ** k - 1) // (p - 1)
+            for j in range(k):
+                span, shift = p ** (j + 1), p ** j
+                images = list(range(degree))
+                for i in range(span):
+                    images[block[i]] = block[(i + shift) % span]
+                gens.append(Permutation(images))
+    return gens, p ** exponent
+
+
+def _is_odd(g: Permutation) -> bool:
+    return sum(len(c) - 1 for c in g.cycles()) % 2 == 1
+
+
+def _sylow_scan(H: PermGroup, p: int, target: int, caps: Caps) -> PermGroup:
+    """Greedy closure over H's sorted elements: the first p-element of
+    maximal order, then each first normalizing p-element outside S."""
     p_elements = []
     best, best_order = None, 1
-    for x in elements:
+    for x in H.elements(caps):
         o = x.order()
         if o > 1 and p_part(o, p) == o:
             p_elements.append(x)
             if o > best_order:
                 best, best_order = x, o
-    S = PermGroup(G.degree, [best])
+    S = PermGroup(H.degree, [best])
     while S.order() < target:
         grew = False
         for y in p_elements:
             if S.membership(y):
                 continue
             if all(S.membership(y * s * y.inverse()) for s in S.generators):
-                S = PermGroup(G.degree, list(S.generators) + [y])
+                S = PermGroup(H.degree, list(S.generators) + [y])
                 grew = True
                 break
         if not grew:
             raise AssertionError("Sylow greedy closure stalled below the p-part")
-    if S.order() != target or (G.order() // S.order()) % p == 0:
-        raise AssertionError("Sylow characterization failed")
     return S
 
 

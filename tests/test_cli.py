@@ -323,6 +323,9 @@ MALFORMED = {
     "triv-bad-argument": ["wreath", "build", "--base", "Triv(x)", "--depth", "2"],
     "pi-not-integer": ["series", "op", "--group", "Sym(4)", "--kind", "core",
                        "--pi", "2,x"],
+    "pi-empty-comma": ["series", "op", "--group", "Sym(9)", "--kind", "core", "--pi", ","],
+    "pi-empty-blank": ["series", "op", "--group", "Sym(9)", "--kind", "core", "--pi", " "],
+    "pi-empty": ["series", "op", "--group", "Sym(9)", "--kind", "core", "--pi", ""],
     "color-edges-not-list": COLOR_FILE,
     "color-edge-not-object": COLOR_FILE,
     "color-id-is-list": COLOR_FILE,
@@ -457,6 +460,10 @@ ERROR_TEXT = {
     "sylow-with-pi": "error: --pi applies to --kind core only, not --kind sylow\n",
     "residual-with-pi": "error: --pi applies to --kind core only, not --kind residual\n",
     "core-with-p-and-pi": "error: --kind core takes --pi or --p, not both\n",
+    # an empty prime set is refused before any element is listed
+    "pi-empty-comma": "error: prime set must name at least one prime, got ','\n",
+    "pi-empty-blank": "error: prime set must name at least one prime, got ' '\n",
+    "pi-empty": "error: prime set must name at least one prime, got ''\n",
     # a degree no index can reach is refused before anything is built
     "family-degree-past-maxsize": f"error: degree must be at most {sys.maxsize}, got {HUGE}\n",
     "group-file-degree-past-maxsize": f"error: line 1: degree must be at most {sys.maxsize}\n",
@@ -512,10 +519,15 @@ def test_group_file_cycle_with_trailing_separator(capsys, gen, plain):
 def test_zero_caps_stay_legal(capsys):
     code, out, _ = run_cli(capsys, "lattice", "sweep", "--tower", "Sym(2):2", "--max-pairs", "0")
     assert code == 0 and parse_json(out)["result"]["pairs_checked"] == 0
-    code, out, err = run_cli(capsys, *TATE, "--element-cap", "0")
+    # Tate's Sylow subgroup of Dih(4) comes from the element scan
+    code, out, err = run_cli(capsys, "tate", "verify", "--group", "Dih(4)", "--p", "2",
+                             "--element-cap", "0")
     assert code == 1 and out == ""
     assert err == ("error: element enumeration cap exceeded: requested 2, cap 0 "
                    "(raise with --element-cap)\n")
+    # ... and that of Sym(3) in closed form, with no element listed
+    code, out, err = run_cli(capsys, *TATE, "--element-cap", "0")
+    assert code == 0 and err == "" and parse_json(out)["result"]["sylow_order"] == 2
 
 
 # different subcommands in one process, the last a usage error

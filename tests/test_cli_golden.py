@@ -28,7 +28,7 @@ GOLDEN = [
     ("ball group --d 5 --radius 1 --F Sym(5) --center edge", 0, "d500df15dc60b3123115858fe57277b6a5af46eae4c9ef48d124c4c0348e7c17"),
     ("tate verify --group Sym(5) --p 2", 0, "98ffa73958e292ae6f041df989520d1533b575a9b03089df870a77bb614e6564"),
     ("tate verify --group Alt(5) --p 5", 0, "65a5ee3d44a735f29f1fbafa330c812faedbd42ac2ed39b4cdd01fa00ec70516"),
-    ("series op --group Sym(5) --kind sylow --p 2", 0, "d3b310c5ab9eeade7d2281084a36e62dd2de7feae22b814cee3bc0e6e33920e7"),
+    ("series op --group Sym(5) --kind sylow --p 2", 0, "597cd4acb33062a70b60cfa1a11aaadfe9f09b2a12ee01831728fbdd5381bc41"),
     ("series op --group Sym(6) --kind residual --p 2", 0, "7db27e5dba3cfcc278ab9de6d56f51f25b3051a95b2dda1e5c9a409618cdf2e0"),
     ("series op --group Sym(4) --kind core --p 2", 0, "2883a1c54d0a6f780916d48b8c93d932d3e157b9b3df01c9292937bc998e63a8"),
     ("series op --group Dih(6) --kind core --pi 2,3", 0, "8fcb15b40b1fb37dbf3aea52bc465273791f120492e27a0b6bc58988f9b55b6e"),
@@ -94,15 +94,16 @@ GOLDEN = [
     ("ball group --d 3 --radius 0 --F Sym(3) --center edge", 0, "6d2247c51e28fecfe303f68e2fc75d346c51948553daee8f54b21331f8186669"),
     ("ball group --d 3 --radius 2 --F Triv(3)", 0, "622a29c5ec6d2db939a4b67442322ab8713beda54027b19fabd3330f83aa1a8d"),
     ("ball group --d 3 --radius 2 --F Triv(3) --center edge", 0, "48e6f87786c3d370cc7861b619a5123b4703db9c0f46878a6c58ebbcb832f8ba"),
-    # subgroup classes of Sym(6) (transitive rows), a Sylow scan of Sym(7)
-    # and a Tate check at an odd prime
+    # subgroup classes of Sym(6) (transitive rows), a Sylow subgroup of
+    # Sym(7) and a Tate check at an odd prime
     ("criteria survey --d 6 --transitive-only", 0, "8994bbe9fb1440ffe0a7b57b7f26fc8f265202961fa61d4327f97864f6d7716a"),
-    ("series op --group Sym(7) --kind sylow --p 3", 0, "9c68097abfff21250f1d0e32e32c7e6791a138f05c0010fbc599c62d176e4e8c"),
+    ("series op --group Sym(7) --kind sylow --p 3", 0, "9ded015ea34e3a35cdd7a2b96ec3becb156dfc3267fed37f0570f076a7af52bb"),
     ("tate verify --group Sym(5) --p 3", 0, "8744772e4e7d0e3ef19bc935a4b419006500a1bfe3e763846edc6416fe4a713b"),
-    # Sylow scans of point stabilizers: Sym(8) at p = 3 scans Sym(7), and
-    # Sym(9) at p = 2 scans Sym(8), under the default element cap
-    ("series op --group Sym(8) --kind sylow --p 3", 0, "30e469b94deb3d5629e0294c6b6dca8fc731e95b843d016c4e59b4ceb4207138"),
-    ("series op --group Sym(9) --kind sylow --p 2", 0, "939a450384a8ab2f7270f7b9a58c43aece5a0be99e8d3c85208892d6c87cddd7"),
+    # Sylow subgroups of Sym in closed form: Sym(8) at p = 3 and Sym(9) at
+    # p = 2 after one point stabilizer, Sym(10) at p = 2 on all ten points
+    ("series op --group Sym(8) --kind sylow --p 3", 0, "2bd9ec2d5a1973ad3b17d0c92018a8475e4eb9794e6d34e45582170f7d4282c3"),
+    ("series op --group Sym(9) --kind sylow --p 2", 0, "2b8af6385d3ea5349d150dd53afca2ff6cbbb7375e00d6159775cef3c3763925"),
+    ("series op --group Sym(10) --kind sylow --p 2", 0, "df2e31d1d08d88964e7aab8a471dafc12cbfac8fb7af080eb7f287ab69bb5492"),
 ]
 
 
@@ -116,12 +117,28 @@ def test_cli_output_digest(capsys, command, exit_code, digest):
 
 
 def test_sym9_sylow_runs_under_the_element_cap(capsys):
-    assert main("series op --group Sym(9) --kind sylow --p 2".split()) == 0
+    # Sym(9)_0 is Sym of the points 2..9, so no element is listed
+    assert main("series op --group Sym(9) --kind sylow --p 2 --element-cap 0".split()) == 0
     subgroup = json.loads(capsys.readouterr().out)["result"]["subgroup"]
     assert subgroup["order"] == 128
-    # what the scan over all of Sym(9) prints under --element-cap 400000
-    assert subgroup["generators"] == ["(2 3 4 5 6 7 8 9)", "(3 5)(4 8)(7 9)", "(3 7)(5 9)",
-                                      "(4 8)(5 9)", "(5 9)"]
+    assert subgroup["generators"] == ["(2 3)", "(2 4)(3 5)", "(2 6)(3 7)(4 8)(5 9)"]
+
+
+# Sym(5) x (Sym(4) wr Sym(2)), of order 138 240: the orbit of 1 has odd
+# length 5, so the scan runs over the stabilizer of 1, of order 27 648
+SYM5_BY_SYM4_WR_SYM2 = ("degree: 13\ngen: (1 2)\ngen: (1 2 3 4 5)\ngen: (6 7)\n"
+                        "gen: (6 7 8 9)\ngen: (6 10)(7 11)(8 12)(9 13)")
+
+
+def test_stabilizer_scan_runs_under_the_element_cap(capsys):
+    assert main(["series", "op", "--group", SYM5_BY_SYM4_WR_SYM2,
+                 "--kind", "sylow", "--p", "2"]) == 0
+    subgroup = json.loads(capsys.readouterr().out)["result"]["subgroup"]
+    assert subgroup["order"] == 1024
+    # what the scan over the whole group prints under --element-cap 200000
+    assert subgroup["generators"] == ["(6 10 7 11 8 12 9 13)", "(10 12)(11 13)",
+                                      "(10 11 12 13)", "(7 9)(11 13)", "(11 13)", "(4 5)",
+                                      "(2 3)", "(2 4)(3 5)"]
 
 
 BALL_R2 = "ball group --d 3 --radius 2 --F Sym(3)"
@@ -143,9 +160,9 @@ REFUSALS = [
     ("ball group --d 3 --radius 4 --F Sym(3)",
      "error: ball group order cap exceeded: requested 12582912, cap 10000000 "
      "(raise with --ball-order-cap (or reduce the radius))\n"),
-    # 2 divides the orbit length 10, so the Sylow scan runs over all of Sym(10)
-    ("series op --group Sym(10) --kind sylow --p 2",
-     "error: element enumeration cap exceeded: requested 100001, cap 100000 "
+    # 2 divides the orbit length 6, so the Sylow scan runs over all of Dih(6)
+    ("series op --group Dih(6) --kind sylow --p 2 --element-cap 10",
+     "error: element enumeration cap exceeded: requested 11, cap 10 "
      "(raise with --element-cap)\n"),
 ]
 

@@ -1,9 +1,10 @@
 """Differential checks against sympy.combinatorics on random groups of
 degree <= 7: centralizers of H with 1-3 generators, intersections,
 normal cores, pointwise stabilizers, the chain facts, the stabilizer cache;
-on the known-order chains of wreath towers with at most 64 leaves and
-of a few of their direct squares; and on the structural chains of the
-ball groups of the benchmark's pool."""
+on the Sylow orders of Sym(n) and Alt(n) for n <= 12, past the element
+cap of the scan oracle; on the known-order chains of wreath towers with
+at most 64 leaves and of a few of their direct squares; and on the
+structural chains of the ball groups of the benchmark's pool."""
 
 import random
 
@@ -15,11 +16,11 @@ st = hypothesis.strategies
 
 from scan_oracles import intersection_scan, normal_core_scan  # noqa: E402
 from test_localact import BALL_POOL  # noqa: E402
-from treeperm.groups import PermGroup, parse_group_spec, symmetric  # noqa: E402
+from treeperm.groups import PermGroup, alternating, parse_group_spec, symmetric  # noqa: E402
 from treeperm.localact import (Graft, ball_stabilizer_group, edge_ball_group,  # noqa: E402
                                half_ball_rigid_stabilizers)
 from treeperm.perms import Permutation, _compose  # noqa: E402
-from treeperm.series import prime_factors, sylow_subgroup  # noqa: E402
+from treeperm.series import is_prime, prime_factors, sylow_subgroup  # noqa: E402
 from treeperm.treeball import build_ball, legal_coloring  # noqa: E402
 from treeperm.wreath import direct_square, tower_order, wreath_tower  # noqa: E402
 
@@ -100,6 +101,15 @@ def test_chain_facts_match_sympy(case):
     assert G.derived_subgroup().order() == SG.derived_subgroup().order()
     for q in prime_factors(G.order()):
         assert sylow_subgroup(G, q).order() == SG.sylow_subgroup(q).order()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sym_and_alt_sylow_orders_match_sympy(n):
+    named = combinatorics.named_groups
+    for G, SG in ((symmetric(n), named.SymmetricGroup(n)),
+                  (alternating(n), named.AlternatingGroup(n))):
+        for q in (q for q in range(2, n + 1) if is_prime(q)):
+            assert sylow_subgroup(G, q).order() == SG.sylow_subgroup(q).order(), (G.name, q)
 
 
 @hypothesis.settings(max_examples=30, deadline=None, database=None)

@@ -1,9 +1,12 @@
 """Sylow subgroups, cores, residuals, Frattini ranks, Tate checks."""
 
+from unittest import mock
+
 import pytest
 
 from scan_oracles import intersection_scan
 from treeperm import series
+from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError
 from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, symmetric,
                              trivial)
@@ -65,6 +68,8 @@ def test_sylow_examples():
 
 
 def test_sylow_orders_each_element_once(monkeypatch):
+    # W_2(Sym(3)) at p = 3: the orbit of 0 has length 9, so the scan runs
+    # over all 1 296 elements
     calls = []
     order = Permutation.order
 
@@ -73,8 +78,8 @@ def test_sylow_orders_each_element_once(monkeypatch):
         return order(self)
 
     monkeypatch.setattr(Permutation, "order", spy)
-    assert sylow_subgroup(symmetric(6), 2).order() == 16
-    assert len(calls) == 720
+    assert sylow_subgroup(wreath_tower(symmetric(3), 2).group, 3).order() == 81
+    assert len(calls) == 1296
 
 
 def test_sylow_rejects_non_prime():
@@ -105,11 +110,36 @@ def _sylow_scan_oracle(G, p):
     return S
 
 
+def _sylow_with_scan_spy(G, p):
+    """sylow_subgroup(G, p), and whether it ran the greedy scan."""
+    with mock.patch.object(series, "_sylow_scan", wraps=series._sylow_scan) as scan:
+        return sylow_subgroup(G, p), scan.called
+
+
+def _moved(G):
+    return {i for g in G.generators for i, x in enumerate(g.images) if x != i}
+
+
+def assert_is_sylow(G, p, S):
+    """Chain order, p-part of |G| and closure count agree; S lies in G
+    and moves only points that G moves."""
+    assert S.order() == p_part(G.order(), p), (G.name, p)
+    assert all(G.membership(g) for g in S.generators), (G.name, p)
+    assert _moved(S) <= _moved(G), (G.name, p)
+    if S.order() <= DEFAULT_CAPS.element_cap:
+        assert len(S.elements()) == S.order(), (G.name, p)
+
+
 def assert_sylow_matches_scan_oracle(G):
+    """The scan's generators where sylow_subgroup scans; a checked Sylow
+    subgroup where it takes the closed form for Sym or Alt."""
     for p in prime_factors(G.order()):
-        got = sylow_subgroup(G, p)
-        assert [g.images for g in got.generators] == \
-            [g.images for g in _sylow_scan_oracle(G, p).generators], (G.name, p)
+        got, scanned = _sylow_with_scan_spy(G, p)
+        if scanned:
+            assert [g.images for g in got.generators] == \
+                [g.images for g in _sylow_scan_oracle(G, p).generators], (G.name, p)
+        else:
+            assert_is_sylow(G, p, got)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -145,8 +175,9 @@ def test_sylow_matches_scan_oracle_on_random_groups():
 
 
 def test_sylow_scans_the_smallest_moved_point_stabilizer(monkeypatch):
-    # Sym(7) at p = 3: the orbit of 0 has length 7, prime to 3, so the
-    # scan runs over Sym(6) = Sym(7)_0; the orbit of 1 there has length 6
+    # W_2(Sym(3)) at p = 2: the orbit of 0 has length 9, prime to 2, so
+    # the scan runs over the stabilizer of 0, Sym(2) x (Sym(3) wr Sym(2));
+    # the orbit of 1 there has length 2
     seen = []
     elements = PermGroup.elements
 
@@ -156,8 +187,59 @@ def test_sylow_scans_the_smallest_moved_point_stabilizer(monkeypatch):
         return out
 
     monkeypatch.setattr(PermGroup, "elements", spy)
-    assert sylow_subgroup(symmetric(7), 3).order() == 9
-    assert seen == [720]
+    assert sylow_subgroup(wreath_tower(symmetric(3), 2).group, 2).order() == 16
+    assert seen == [144]
+
+
+def _legendre(m, p):
+    """p-part of m!: p to the sum of floor(m / p^i)."""
+    exponent, q = 0, p
+    while q <= m:
+        exponent += m // q
+        q *= p
+    return p ** exponent
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sylow_of_sym_and_alt_in_closed_form(n):
+    for G in (symmetric(n), alternating(n)):
+        for p in (q for q in range(2, n + 1) if is_prime(q)):
+            S, scanned = _sylow_with_scan_spy(G, p)
+            assert not scanned, (G.name, p)
+            halved = 2 if G.name.startswith("Alt") and p == 2 else 1
+            assert S.order() == _legendre(n, p) // halved
+            assert_is_sylow(G, p, S)
+
+
+# Sym(4) and Alt(4) on the points 1, 2, 3, 5 (cycle notation) of 7
+SPARSE = {"Sym(4) on 1,2,3,5": ["(1 2)", "(1 2 3 5)"],
+          "Alt(4) on 1,2,3,5": ["(1 2 3)", "(2 3 5)"]}
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_sylow_closed_form_on_a_sparse_support(name):
+    G = PermGroup(7, [parse_cycles(c, 7) for c in SPARSE[name]], name=name)
+    assert G.order() in (24, 12) and _moved(G) == {0, 1, 2, 4}
+    for p in (2, 3):
+        S, scanned = _sylow_with_scan_spy(G, p)
+        assert not scanned
+        assert_is_sylow(G, p, S)
+
+
+# same order as Sym(3) or Sym(5), not Sym of the points they move
+LOOKALIKES = {
+    "regular Sym(3)": ["(1 2)(3 4)(5 6)", "(1 3 5)(2 6 4)"],
+    # x -> x + 1, 2x, -1/x on the projective line over GF(5), ∞ = 1, x = x + 2
+    "PGL(2,5) on 6 points": ["(2 3 4 5 6)", "(3 4 6 5)", "(1 2)(3 6)"],
+}
+
+
+@pytest.mark.parametrize("name", LOOKALIKES)
+def test_sylow_lookalikes_of_sym_take_the_scan(name):
+    G = PermGroup(6, [parse_cycles(c, 6) for c in LOOKALIKES[name]], name=name)
+    assert G.order() in (6, 120) and G.is_transitive()
+    assert all(_sylow_with_scan_spy(G, p)[1] for p in prime_factors(G.order()))
+    assert_sylow_matches_scan_oracle(G)
 
 
 def test_pi_core_examples():
