@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
-from .groups import PermGroup
+from .groups import PermGroup, symmetric
 from .perms import _compose
 from .series import prime_factors, p_part
 from .subgroups import SubgroupClass, enumerate_subgroups_up_to_conjugacy
@@ -251,8 +251,6 @@ def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> 
     Every row's facts are recomputed by the exhaustive no-BSGS oracle;
     disagreement is reported, never silently patched.
     """
-    from .groups import symmetric
-
     if d > 6:
         raise InputError("survey supports d <= 6 (subgroup enumeration cap)")
     classes = enumerate_subgroups_up_to_conjugacy(symmetric(d), caps)

@@ -11,11 +11,18 @@ the cyclic extension method (Holt-Eick-O'Brien, Handbook of
 Computational Group Theory, 2005).  Classes are deduplicated by their
 conjugacy orbits and represented by their least conjugates, so the list
 comes out in a canonical deterministic order.
+
+Each ambient group is enumerated once per process: the class records
+are memoized per (degree, generator images, caps) in a bounded LRU memo,
+and every call gets a fresh list of the shared records.  The subgroup
+cap is checked on every call, and a refusal is never memoized, so it is
+raised again on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
@@ -26,7 +33,12 @@ from .series import prime_factors
 
 @dataclass
 class SubgroupClass:
-    """One conjugacy class of subgroups: canonical representative + stats."""
+    """One conjugacy class of subgroups: canonical representative + stats.
+
+    Records and their reps are shared by every enumeration of the same
+    ambient group in a process, so both are read-only: a rep may only
+    fill its own lazy caches (chain, elements, point stabilizers).
+    """
 
     rep: PermGroup
     order: int
@@ -146,12 +158,29 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
     """All subgroup conjugacy classes of G, |G| <= the subgroup cap.
 
     Deterministic: classes sorted by (order, canonical element tuple),
-    each represented by the lexicographically least conjugate.
+    each represented by the lexicographically least conjugate.  A new
+    list of the memoized, read-only records on each call.
     """
     order = G.order()
     if order > caps.subgroup_cap:
         raise ResourceLimitError("subgroup enumeration", caps.subgroup_cap, order,
                                  "--subgroup-cap")
+    key = _Key((G.degree, tuple(g.images for g in G.generators)))
+    key.G = G
+    return list(_classes(key, caps))
+
+
+class _Key(tuple):
+    """(degree, generator images) of an ambient group, carrying G to a miss."""
+
+    G: PermGroup | None
+
+
+@lru_cache(maxsize=8)
+def _classes(key: _Key, caps: Caps) -> tuple[SubgroupClass, ...]:
+    """The enumeration behind `enumerate_subgroups_up_to_conjugacy`.
+    A cap refusal is raised again on each call: exceptions are not cached."""
+    G, key.G = key.G, None               # the memo keeps the records, not G
     table = _Table(G, caps)
     orders, atoms, atom_of = _cyclic_structure(table)
 
@@ -184,4 +213,4 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
             add_class(min(orbit, key=lambda fs: tuple(sorted(fs))), len(orbit))
 
     out.sort(key=lambda c: (c.order, c.element_indices))
-    return out
+    return tuple(out)

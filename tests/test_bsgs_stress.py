@@ -12,7 +12,7 @@ from treeperm.groups import PermGroup, closure_elements, symmetric
 from treeperm.lattice import cone_bits, rist
 from treeperm.localact import Graft, ball_stabilizer_group
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
-from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+from treeperm.subgroups import _classes, enumerate_subgroups_up_to_conjugacy
 from treeperm.treeball import build_ball, legal_coloring
 from treeperm.wreath import wreath_tower
 
@@ -300,6 +300,7 @@ def test_bounded_sift_keeps_what_a_full_pass_keeps(monkeypatch):
 
 
 def test_subgroup_classes_and_panel_stabilizers_sift_to_their_order(monkeypatch):
+    _classes.cache_clear()     # a memo hit would build no class rep to check
     orders = _check_bounded_against_full_pass(monkeypatch)
     assert len(enumerate_subgroups_up_to_conjugacy(symmetric(4))) == 11
     # the root panel fixes leaf cone 3 and may swap cones 1 and 2

@@ -654,6 +654,29 @@ def test_survey_bytes_are_the_same_cold_and_warm(capsys):
     assert outs[0] == outs[1]
 
 
+def test_survey_cap_refusals_are_raised_again_after_the_classes_were_cached(capsys):
+    from treeperm.criteria import _legal_vertex_ball
+    from treeperm.subgroups import _classes
+    _legal_vertex_ball.cache_clear()
+    _classes.cache_clear()
+    survey = ["criteria", "survey", "--d", "5"]
+    code, first, _ = run_cli(capsys, *survey)
+    assert code == 0
+    # the element cap refuses inside the memoized enumeration: twice, not once
+    for flag, what, requested in (("--subgroup-cap", "subgroup", 120),
+                                  ("--element-cap", "element", 101),
+                                  ("--element-cap", "element", 101)):
+        code, out, err = run_cli(capsys, *survey, flag, "100")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {what} enumeration cap exceeded: requested {requested}, "
+                       f"cap 100 (raise with {flag})\n")
+    assert _classes.cache_info().currsize == 1     # no refusal was memoized
+    code, again, _ = run_cli(capsys, *survey)
+    assert code == 0 and _classes.cache_info().hits > 0
+    strip = lambda out: re.sub(r'"wall_time_ms": \d+', "", out)
+    assert strip(again) == strip(first)
+
+
 def test_tree_vertex_cap_refuses_after_the_ball_was_cached(capsys):
     check = ["criteria", "check", "--d", "5", "--F", "Sym(5)", "--Fprime", "Sym(5)"]
     assert run_cli(capsys, *check)[0] == 0

@@ -8,13 +8,14 @@ representative by every atom.
 
 import pytest
 
+from treeperm import subgroups
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import ResourceLimitError
 from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, named_group,
                              symmetric)
 from treeperm.perms import Permutation
 from treeperm.series import prime_factors
-from treeperm.subgroups import _Table, enumerate_subgroups_up_to_conjugacy
+from treeperm.subgroups import _classes, _Table, enumerate_subgroups_up_to_conjugacy
 from treeperm.wreath import wreath_tower
 
 
@@ -205,9 +206,16 @@ def test_representatives_are_actual_subgroups():
 
 
 def test_deterministic_ordering():
+    _classes.cache_clear()
     a = enumerate_subgroups_up_to_conjugacy(symmetric(4))
     b = enumerate_subgroups_up_to_conjugacy(symmetric(4))
+    assert _classes.cache_info().hits == 1
     assert [c.element_indices for c in a] == [c.element_indices for c in b]
+    # and a second enumeration from scratch, not the memoized records
+    _classes.cache_clear()
+    c = enumerate_subgroups_up_to_conjugacy(symmetric(4))
+    assert [x.element_indices for x in a] == [x.element_indices for x in c]
+    assert all(x is not y for x, y in zip(a, c))
 
 
 def test_cap_is_loud():
@@ -226,8 +234,81 @@ def test_one_chain_build_per_class(monkeypatch):
         builds.append(degree)
         init(self, degree)
 
+    _classes.cache_clear()     # a memo hit would build no chain at all
     monkeypatch.setattr(bsgs.StabilizerChain, "__init__", counting_init)
     classes = enumerate_subgroups_up_to_conjugacy(symmetric(5))
     assert [c.rep.order() for c in classes] == [c.order for c in classes]
     # one chain for the ambient group's order, one per class rep
     assert len(builds) <= len(classes) + 1
+
+
+def _fields(classes):
+    return [(c.order, c.class_size, c.element_indices, c.cyclic,
+             [g.images for g in c.rep.generators]) for c in classes]
+
+
+def test_a_memo_hit_returns_the_records_of_a_cleared_enumeration():
+    _classes.cache_clear()
+    G1, G2 = symmetric(5), symmetric(5)
+    assert G1 is not G2
+    enumerate_subgroups_up_to_conjugacy(G1)
+    hit = enumerate_subgroups_up_to_conjugacy(G2)
+    assert _classes.cache_info().hits == 1
+    _classes.cache_clear()
+    fresh = enumerate_subgroups_up_to_conjugacy(symmetric(5))
+    assert all(h is not f for h, f in zip(hit, fresh))
+    assert _fields(hit) == _fields(fresh)
+
+
+def test_a_memo_hit_closes_nothing(monkeypatch):
+    enumerate_subgroups_up_to_conjugacy(symmetric(5))
+    calls = []
+    closure = subgroups._closure
+
+    def spy(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(subgroups, "_closure", spy)
+    assert len(enumerate_subgroups_up_to_conjugacy(symmetric(5))) == 19
+    assert calls == []
+    # the spy does see a miss
+    _classes.cache_clear()
+    enumerate_subgroups_up_to_conjugacy(symmetric(5))
+    assert len(calls) == 166
+
+
+def test_each_call_returns_a_new_list():
+    a = enumerate_subgroups_up_to_conjugacy(symmetric(4))
+    b = enumerate_subgroups_up_to_conjugacy(symmetric(4))
+    assert a is not b and all(x is y for x, y in zip(a, b))
+    a.clear()
+    assert len(enumerate_subgroups_up_to_conjugacy(symmetric(4))) == 11
+
+
+def test_other_caps_miss_the_memo():
+    _classes.cache_clear()
+    enumerate_subgroups_up_to_conjugacy(symmetric(4))
+    caps = DEFAULT_CAPS.with_overrides(element_cap=DEFAULT_CAPS.element_cap + 1)
+    other = enumerate_subgroups_up_to_conjugacy(symmetric(4), caps)
+    info = _classes.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+    assert _fields(other) == _fields(enumerate_subgroups_up_to_conjugacy(symmetric(4)))
+
+
+def test_callers_leave_the_shared_reps_unchanged(capsys):
+    from treeperm import acceptance
+    from treeperm.cli import main
+    _classes.cache_clear()
+    assert main(["criteria", "survey", "--d", "5"]) == 0
+    capsys.readouterr()
+    for criterion in (acceptance.criterion_01_tate_sweep, acceptance.criterion_02_residual_oracle,
+                      acceptance.criterion_09_survey, acceptance.criterion_12_eta):
+        assert criterion().ok
+    shared = {d: enumerate_subgroups_up_to_conjugacy(symmetric(d)) for d in (3, 4, 5)}
+    assert _classes.cache_info().misses == 3
+    _classes.cache_clear()
+    for d, classes in shared.items():
+        fresh = enumerate_subgroups_up_to_conjugacy(symmetric(d))
+        assert _fields(classes) == _fields(fresh)
+        assert [c.rep.order() for c in classes] == [c.rep.order() for c in fresh]
