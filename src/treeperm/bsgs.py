@@ -4,7 +4,8 @@ No randomization anywhere: base points after any given prefix are the
 smallest point moved by the strong generator that forces the level, orbits grow in BFS
 discovery order, and generator lists are append-only.  Identical
 generator sequences therefore produce identical chains, orders, and
-transversals across runs.
+transversals across runs.  The inverse of a transversal element is
+computed the first time a sift or a Schreier generator needs it.
 
 The chain works on raw image tuples for speed; `groups.PermGroup`
 wraps it with `Permutation` values.
@@ -30,11 +31,19 @@ class _Level:
         self.gens: list[Raw] = []
         self.orbit: list[int] = [point]
         self.transversal: dict[int, Raw] = {point: ident}
+        # inverses of transversal elements, each computed on first use
         self.inv_transversal: dict[int, Raw] = {point: ident}
         # watermark of Schreier pairs already queued: [0,points)x[0,gens)
         self.points_scanned = 0
         self.gens_scanned = 0
         self.pending: list[tuple[int, int]] = []  # (orbit index, gen index)
+
+    def inverse(self, u: int) -> Raw:
+        """The inverse of `transversal[u]`, cached on first use."""
+        t_inv = self.inv_transversal.get(u)
+        if t_inv is None:
+            t_inv = self.inv_transversal[u] = _invert(self.transversal[u])
+        return t_inv
 
 
 class StabilizerChain:
@@ -142,7 +151,9 @@ class StabilizerChain:
                 continue  # the level's transversal element is the identity
             t_inv = lev.inv_transversal.get(u)
             if t_inv is None:
-                return h, i
+                if u not in lev.transversal:
+                    return h, i
+                t_inv = lev.inverse(u)
             h = _compose(t_inv, h)
         return h, len(levels)
 
@@ -188,7 +199,6 @@ class StabilizerChain:
         new_gens = gens[old_gens:]
         orbit = lev.orbit
         tr = lev.transversal
-        itr = lev.inv_transversal
         idx = 0
         while idx < len(orbit):
             u = orbit[idx]
@@ -196,9 +206,7 @@ class StabilizerChain:
             for g in new_gens if idx < old_points else gens:
                 v = g[u]
                 if v not in tr:
-                    tv = _compose(g, tu)
-                    tr[v] = tv
-                    itr[v] = _invert(tv)
+                    tr[v] = _compose(g, tu)
                     orbit.append(v)
             idx += 1
 
@@ -217,7 +225,7 @@ class StabilizerChain:
             u = lev.orbit[u_idx]
             g = lev.gens[g_idx]
             v = g[u]
-            schreier = _compose(lev.inv_transversal[v], _compose(g, lev.transversal[u]))
+            schreier = _compose(lev.inverse(v), _compose(g, lev.transversal[u]))
             if schreier == self.ident:
                 continue
             h, j = self._strip(schreier, i + 1)
@@ -233,8 +241,8 @@ def _schreier_generators(degree: int, gens: list[Raw], point: int) -> tuple[int,
     lev = _Level(point, ident)
     lev.gens = gens
     StabilizerChain._grow_orbit(lev, 0, 0)
-    tr, itr = lev.transversal, lev.inv_transversal
-    schreier = (_compose(itr[g[u]], _compose(g, tr[u])) for u in lev.orbit for g in gens)
+    tr = lev.transversal
+    schreier = (_compose(lev.inverse(g[u]), _compose(g, tr[u])) for u in lev.orbit for g in gens)
     return len(lev.orbit), (s for s in schreier if s != ident)
 
 

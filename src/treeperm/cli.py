@@ -475,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     return code
 
 

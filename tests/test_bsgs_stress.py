@@ -1,14 +1,15 @@
 """Seeded stress: stabilizer chains against brute-force closure."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from scan_oracles import intersection_scan, normal_core_scan
-from treeperm import groups
-from treeperm.bsgs import StabilizerChain, _Level, reduce_generators
-from treeperm.groups import PermGroup, closure_elements, symmetric
+from treeperm import bsgs, groups
+from treeperm.bsgs import StabilizerChain, _Level, _schreier_generators, reduce_generators
+from treeperm.groups import PermGroup, closure_elements, dihedral, symmetric
 from treeperm.lattice import cone_bits, rist
 from treeperm.localact import Graft, ball_stabilizer_group
 from treeperm.perms import Permutation, _compose, _invert, parse_cycles
@@ -246,12 +247,69 @@ def test_grow_orbit_walks_as_the_two_loop_oracle():
                 grow(lev, old_points, old_gens)
             assert walked.orbit == oracle.orbit
             assert list(walked.transversal.items()) == list(oracle.transversal.items())
-            assert list(walked.inv_transversal.items()) \
-                == list(oracle.inv_transversal.items())
+            # the walk caches no inverse; any it holds is the oracle's
+            assert walked.inv_transversal.items() <= oracle.inv_transversal.items()
             assert all(g[u] in walked.transversal for u in walked.orbit for g in walked.gens)
             assert all(walked.transversal[u][point] == u for u in walked.orbit)
 
     check()
+
+
+def test_cached_inverses_invert_their_representatives(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    made = []  # every level built while a case runs, chain or Schreier stream
+
+    class Recorded(_Level):
+        def __init__(self, point, ident):
+            super().__init__(point, ident)
+            made.append(self)
+
+    monkeypatch.setattr(bsgs, "_Level", Recorded)
+    perms = lambda n: st.permutations(range(n)).map(tuple)
+    cases = st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(perms(n), min_size=1, max_size=3),
+        st.lists(perms(n), max_size=4), perms(n), st.integers(0, n),
+        st.integers(0, n - 1), st.integers(0, 6)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        n, gens, probes, points, k, point, draws = case
+        made.clear()
+        ident = tuple(range(n))
+        elements = sorted(e.images for e in closure_elements(
+            n, [Permutation(g) for g in gens], 10 ** 5))
+        members = set(elements)
+        prefixed = StabilizerChain.from_generators(n, gens, points[:k])
+        fixing = {e for e in elements if all(e[b] == b for b in prefixed.base()[:k])}
+        checks = [(StabilizerChain.up_to_order(n, gens, len(elements)), members),
+                  (StabilizerChain.from_generators(n, gens), members),
+                  (prefixed, members), (prefixed.tail(k), fixing),
+                  (reduce_generators(n, elements, len(elements))[1], members)]
+        queries = probes + elements[::max(1, len(elements) // 6)]
+        for chain, group in checks:
+            assert chain.order() == len(group)
+            assert all(chain.contains(q) == (q in group) for q in queries)
+        _, stream = _schreier_generators(n, gens, point)
+        for s in itertools.islice(stream, draws):
+            assert s[point] == point and s in members
+        assert made
+        for lev in made:
+            assert lev.inv_transversal.keys() <= set(lev.orbit)
+            assert all(_compose(t_inv, lev.transversal[u]) == ident
+                       for u, t_inv in lev.inv_transversal.items())
+
+    check()
+
+
+def test_a_tower_chain_caches_no_inverse_off_its_base_points():
+    # W_3(Dih(5)) on 125 leaves: 375 orbit points off the base, every
+    # one of which had its inverse computed while its orbit grew
+    chain = wreath_tower(dihedral(5), 3).group.chain
+    assert sum(len(lev.orbit) - 1 for lev in chain.levels) == 375
+    assert [list(lev.inv_transversal) for lev in chain.levels] \
+        == [[lev.point] for lev in chain.levels]
 
 
 def _check_bounded_against_full_pass(monkeypatch) -> list:

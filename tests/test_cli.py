@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from treeperm import groups
 from treeperm.cli import _plain, build_parser, main
 from treeperm.criteria import CriterionReport, SurveyRow, Verdict
 from treeperm.groups import symmetric
@@ -613,24 +614,50 @@ DEEP_TOWERS = {
 }
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
-@pytest.mark.parametrize("case", DEEP_TOWERS, ids=DEEP_TOWERS.keys())
-def test_deep_tower_is_refused_in_bounded_time_and_memory(case):
+def run_cli_limited(argv):
+    """Run the CLI in a child process whose address space alone is
+    limited to 1.5 GB; returns the finished process and its wall time."""
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
-    argv, expected = DEEP_TOWERS[case]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "treeperm.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=30, preexec_fn=limit)
-    elapsed = time.perf_counter() - t0
+    return proc, time.perf_counter() - t0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+@pytest.mark.parametrize("case", DEEP_TOWERS, ids=DEEP_TOWERS.keys())
+def test_deep_tower_is_refused_in_bounded_time_and_memory(case):
+    argv, expected = DEEP_TOWERS[case]
+    proc, elapsed = run_cli_limited(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
     assert elapsed < 10, elapsed
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # the family builder fails as Alt(n) of a huge n does
+    monkeypatch.setitem(groups._FAMILY_BUILDERS, "alt", exhausted)
+    code, out, err = run_cli(capsys, "series", "op", "--group", "Alt(5)",
+                             "--kind", "residual", "--p", "2")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit via setrlimit")
+def test_a_huge_named_degree_out_of_memory_is_one_error_line():
+    # the degree cap is still undecided; the 99999999-point generators
+    # do not fit in the child's address space
+    proc, _ = run_cli_limited(["series", "op", "--group", "Alt(99999999)",
+                               "--kind", "residual", "--p", "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_leaf_cap_zero_still_refuses_the_root_leaf(capsys):
