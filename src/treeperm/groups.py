@@ -39,7 +39,8 @@ class PermGroup:
     chain, element list and point stabilizers.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None):
+    def __init__(self, degree: int, generators: Iterable[Permutation], name: str | None = None,
+                 *, order_bound: Callable[[list[tuple]], int] | None = None):
         if degree < 1:
             raise InputError(f"degree must be positive, got {degree}")
         gens = []
@@ -57,9 +58,9 @@ class PermGroup:
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._stabilizers: dict[int, PermGroup] = {}
-        # set by a construction that can prove an upper bound on the order:
-        # maps the raw generators to the bound, raising if the proof fails
-        self._order_bound: Callable[[list[tuple]], int] | None = None
+        # from a construction that can prove an upper bound on the order: maps
+        # the raw generators to the bound, raising if the proof fails
+        self._order_bound = order_bound
 
     @classmethod
     def from_elements(cls, degree: int, elements: Iterable[tuple],

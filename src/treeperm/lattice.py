@@ -144,11 +144,12 @@ def _commute_groupwise(A: PermGroup, B: PermGroup) -> bool:
 def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
                        caps: Caps = DEFAULT_CAPS,
                        rist_cache: dict[int, PermGroup] | None = None,
-                       centralizer_cache: dict[int, PermGroup] | None = None,
+                       complement_cache: dict[int, tuple[bool, bool | None]] | None = None,
                        count_memo: dict[tuple, int] | None = None) -> PairCheck:
-    """rist meet identity, disjoint-support commuting, complement centralizing."""
+    """rist meet identity, disjoint-support commuting, complement centralizing;
+    the complement checks depend on alpha alone, kept in `complement_cache`."""
     rist_cache = {} if rist_cache is None else rist_cache
-    centralizer_cache = {} if centralizer_cache is None else centralizer_cache
+    complement_cache = {} if complement_cache is None else complement_cache
 
     def rist_of(bits: int) -> PermGroup:
         if bits not in rist_cache:
@@ -165,13 +166,15 @@ def lattice_check_pair(T: WreathTower, alpha: int, beta: int,
     disjoint = alpha & beta == 0
     commutes = _commute_groupwise(A, B) if disjoint else None
 
-    comp = rist_of(cone_bits(T, ()) ^ alpha)
-    contains = _commute_groupwise(comp, A)
-    equals = None
-    if T.group.order() <= caps.element_cap:
-        if alpha not in centralizer_cache:
-            centralizer_cache[alpha] = T.group.centralizer(A, caps)
-        equals = centralizer_cache[alpha].equals(comp)
+    if alpha not in complement_cache:
+        comp = rist_of(cone_bits(T, ()) ^ alpha)
+        contains = _commute_groupwise(comp, A)
+        equals = None
+        if T.group.order() <= caps.element_cap:
+            # a centralizing comp lies in C_T(A): equal exactly when as large
+            equals = contains and T.group.centralizer(A, caps).order() == comp.order()
+        complement_cache[alpha] = contains, equals
+    contains, equals = complement_cache[alpha]
     return PairCheck(
         subset_a=alpha, subset_b=beta,
         rist_a_order=A.order(), rist_b_order=B.order(),
@@ -221,7 +224,7 @@ def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
     """
     pool = cone_union_pool(T)
     rist_cache: dict[int, PermGroup] = {}
-    centralizer_cache: dict[int, PermGroup] = {}
+    complement_cache: dict[int, tuple[bool, bool | None]] = {}
     count_memo: dict[tuple, int] = {}
     checks = []
     n = len(pool)
@@ -233,5 +236,5 @@ def lattice_sweep(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> list[PairCheck]:
             if len(checks) >= caps.pair_cap:
                 return checks
             checks.append(lattice_check_pair(T, pool[i], pool[j], caps,
-                                             rist_cache, centralizer_cache, count_memo))
+                                             rist_cache, complement_cache, count_memo))
     return checks

@@ -10,7 +10,8 @@ from the coset of F sending the inward color to the inherited one.
 A ball group is generated by the strong generators of each interior
 vertex's panel group (F at a vertex center, else the stabilizer in F of
 the inward color), each completed below the vertex by first panels.
-The generators are checked to lie in the graft set, so the graft count
+The generators are wrapped without the bijection check of
+`Permutation()` and proved to lie in the graft set, so the graft count
 bounds the group order and the chain is built up to it.  The graft
 leaves are counted, to check the chain order, by a depth-first walk that
 stops before the last step and adds the number of panels allowed there:
@@ -27,7 +28,7 @@ from typing import Sequence
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation, _trusted
+from .perms import Permutation, _shown, _trusted
 from .treeball import TreeBall
 
 
@@ -270,20 +271,6 @@ class Graft:
         stays an enumeration independent of `count()`."""
         return sum(map(len, self._walk(self._roots(swap), forced_identity)))
 
-    def _leaves(self, swap: bool, forced_identity: frozenset[int] = frozenset()):
-        """Yield the image tuples of all panel-compatible automorphisms, in
-        walk order: each panel allowed at the last step placed on top of
-        `_walk`, the walk that `_count` sums."""
-        images = self._roots(swap)
-        if not self.plan:
-            yield tuple(images)
-            return
-        last = self.plan[-1]
-        for panels in self._walk(images, forced_identity):
-            for sigma in panels:
-                self._place(last, sigma, images)
-                yield tuple(images)
-
     def _generators(self) -> list[tuple[int, tuple]]:
         """(site, generator) pairs of the endpoint-fixing group, in plan order:
         sigma at v, then the first allowed panel at every later step, which is
@@ -303,23 +290,25 @@ class Graft:
     def _group(self, gens: list[tuple], bound: int, fixed: Sequence[int] = ()) -> PermGroup:
         """The group of `gens`, with its chain built now up to the proved
         order `bound`, a graft count; `PermGroup.chain` raises on a shortfall."""
-        group = PermGroup(self.ball.n_vertices, [Permutation(g) for g in gens])
-        group._order_bound = partial(self._prove_bound, bound, fixed)
+        group = PermGroup(self.ball.n_vertices, [_trusted(g) for g in gens],
+                          order_bound=partial(self._prove_bound, bound, fixed))
         group.chain
         return group
 
     def _prove_bound(self, bound: int, fixed: Sequence[int], gens: list[tuple]) -> int:
         """`bound`, once each generator is shown to be a ball automorphism
         with its local actions in F, fixing `fixed`: then the group lies in
-        the graft set that `bound` counts."""
+        the graft set that `bound` counts.  This also proves each generator
+        a bijection: a map that preserves the center and sends every
+        neighbourhood onto a neighbourhood maps each sphere of the ball
+        onto itself bijectively, by induction on depth."""
         ball, in_F = self.ball, self.F.chain.contains
         for images in gens:
-            g = _trusted(images)  # `_group` validated the tuple
-            if not (is_ball_automorphism(ball, g)
+            if not (is_ball_automorphism(ball, _trusted(images))
                     and all(in_F(_local_action(ball, images, v))
                             for v in ball.interior)
                     and all(images[v] == v for v in fixed)):
-                raise AssertionError(f"ball generator {g.cycle_string()} is not "
+                raise AssertionError(f"ball generator {_shown(images)} is not "
                                      f"in the graft set of {self.F.name or 'F'}")
         return bound
 

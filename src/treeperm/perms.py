@@ -160,6 +160,14 @@ def _trusted(images: tuple) -> Permutation:
     return p
 
 
+def _shown(images: tuple) -> str:
+    """Cycle notation for a message; 1-indexed images if not a bijection."""
+    try:
+        return _trusted(images).cycle_string()
+    except ValueError:
+        return "[" + " ".join(str(x + 1) for x in images) + "]"
+
+
 def commutator(g: Permutation, h: Permutation) -> Permutation:
     """g h g^-1 h^-1."""
     return g * h * g.inverse() * h.inverse()

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .config import DEFAULT_CAPS, Caps
 from .errors import ResourceLimitError
 from .groups import PermGroup, _bfs
-from .perms import _compose
+from .perms import _compose, _trusted
 from .series import prime_factors
 
 
@@ -165,22 +165,15 @@ def enumerate_subgroups_up_to_conjugacy(G: PermGroup,
     if order > caps.subgroup_cap:
         raise ResourceLimitError("subgroup enumeration", caps.subgroup_cap, order,
                                  "--subgroup-cap")
-    key = _Key((G.degree, tuple(g.images for g in G.generators)))
-    key.G = G
-    return list(_classes(key, caps))
-
-
-class _Key(tuple):
-    """(degree, generator images) of an ambient group, carrying G to a miss."""
-
-    G: PermGroup | None
+    return list(_classes(G.degree, tuple(g.images for g in G.generators), caps))
 
 
 @lru_cache(maxsize=8)
-def _classes(key: _Key, caps: Caps) -> tuple[SubgroupClass, ...]:
-    """The enumeration behind `enumerate_subgroups_up_to_conjugacy`.
+def _classes(degree: int, images: tuple[tuple, ...], caps: Caps) -> tuple[SubgroupClass, ...]:
+    """The enumeration behind `enumerate_subgroups_up_to_conjugacy`, for the
+    group that the generator `images` make, rebuilt here on a miss.
     A cap refusal is raised again on each call: exceptions are not cached."""
-    G, key.G = key.G, None               # the memo keeps the records, not G
+    G = PermGroup(degree, [_trusted(g) for g in images])
     table = _Table(G, caps)
     orders, atoms, atom_of = _cyclic_structure(table)
 

@@ -6,10 +6,10 @@ acting on the d^n leaves of the depth-n rooted tree.  Orders obey
 group lifts to the Sylow subgroup of the whole tower.
 
 A tower is generated by one copy of each base generator at every vertex
-above the leaves, built directly as a leaf image tuple.  Its order is
-proved, not assumed, when its chain is first used.  Upper bound: every
-generator's local actions are read off its leaf permutation, which must
-be a tree automorphism with all local actions in F, so the group lies in
+above the leaves, an unchecked leaf image tuple.  Its order is proved,
+not assumed, when its chain is first used.  Upper bound: every
+generator's local actions are read off its leaf map, which must be a
+tree automorphism with all local actions in F, so the group lies in
 W_n(F).  Lower bound: the orbits of the chain that sifting the
 generators builds multiply to at most the group order.  When they reach
 the formula the chain is complete; otherwise Schreier-Sims completes the
@@ -24,7 +24,7 @@ from functools import partial
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, ResourceLimitError
 from .groups import PermGroup
-from .perms import Permutation
+from .perms import _shown, _trusted
 from .series import p_part, sylow_subgroup
 
 
@@ -98,8 +98,11 @@ def _tower_order_bound(F: PermGroup, n: int, gens: list[tuple]) -> int:
 
     Reads the local actions off each leaf permutation from the leaves
     up: at each level every sibling block must map into one sibling
-    block, and the induced map on the parents is the next level's
-    permutation.  Each distinct local action must lie in F.
+    block, and the induced map on the parents is the next level's map.
+    Each distinct local action must lie in F.  This also proves each
+    generator a bijection: a local action that is not one cannot sift to
+    the identity in F's chain, and bijective local actions at every
+    vertex make a bijection of each level, from the root down.
     """
     d = F.degree
     actions: set[tuple] = set()
@@ -116,7 +119,7 @@ def _tower_order_bound(F: PermGroup, n: int, gens: list[tuple]) -> int:
     for sigma in actions:
         if not F.chain.contains(sigma):
             raise AssertionError(f"wreath generator has local action "
-                                 f"{Permutation(sigma).cycle_string()} outside {F.name}")
+                                 f"{_shown(sigma)} outside {F.name}")
     return tower_order(F.order(), d, n)
 
 
@@ -147,11 +150,10 @@ def wreath_tower(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS) -> WreathT
     sites = []
     for v in _interior_vertices(d, depth):
         for gi, f in enumerate(F.generators):
-            gens.append(Permutation(vertex_generator(d, depth, v, f.images)))
+            gens.append(_trusted(vertex_generator(d, depth, v, f.images)))
             sites.append((v, gi))
-    group = PermGroup(max(leaves, 1), gens,
-                      name=f"W_{depth}({F.name or f'deg{d}'})")
-    group._order_bound = partial(_tower_order_bound, F, depth)
+    group = PermGroup(max(leaves, 1), gens, name=f"W_{depth}({F.name or f'deg{d}'})",
+                      order_bound=partial(_tower_order_bound, F, depth))
     return WreathTower(base=F, depth=depth, group=group, generator_sites=sites)
 
 
@@ -176,10 +178,12 @@ def sylow_tower(F: PermGroup, p: int, depth: int, caps: Caps = DEFAULT_CAPS
 
 def _square_order_bound(G: PermGroup, gens: list[tuple]) -> int:
     """|G|^2, once every generator is shown to lie in G x G: it keeps
-    the two halves and each half's restriction is a member of G."""
+    the two halves and each half's restriction is a member of G.  This
+    also proves each generator a bijection: a half that is not one
+    cannot sift to the identity in G's chain."""
     m = G.degree
     for g in gens:
-        if any(x >= m for x in g[:m]):
+        if any(x >= m for x in g[:m]) or any(x < m for x in g[m:]):
             raise AssertionError("square generator mixes the two halves")
         if not (G.chain.contains(g[:m]) and G.chain.contains(tuple(x - m for x in g[m:]))):
             raise AssertionError(f"square generator has a half outside {G.name}")
@@ -196,11 +200,10 @@ def direct_square(T: WreathTower, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         raise ResourceLimitError("flatten leaves", caps.leaf_cap, 2 * m, "--leaf-cap")
     gens = []
     for g in T.group.generators:
-        gens.append(Permutation(tuple(g.images) + tuple(range(m, 2 * m))))
-        gens.append(Permutation(tuple(range(m)) + tuple(x + m for x in g.images)))
-    square = PermGroup(2 * m, gens, name=f"{T.group.name}^2")
-    square._order_bound = partial(_square_order_bound, T.group)
-    return square
+        gens.append(_trusted(g.images + tuple(range(m, 2 * m))))
+        gens.append(_trusted(tuple(range(m)) + tuple(x + m for x in g.images)))
+    return PermGroup(2 * m, gens, name=f"{T.group.name}^2",
+                     order_bound=partial(_square_order_bound, T.group))
 
 
 def rigid_stabilizer(T: WreathTower, vertex: tuple[int, ...]) -> PermGroup:

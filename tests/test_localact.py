@@ -10,8 +10,8 @@ from scan_oracles import intersection_scan
 from treeperm.bsgs import StabilizerChain
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
-from treeperm.groups import (PermGroup, alternating, cyclic, parse_group_spec, symmetric,
-                             trivial)
+from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, parse_group_spec,
+                             symmetric, trivial)
 from treeperm import acceptance, wreath
 from treeperm.localact import (Graft, _local_action, ball_stabilizer_group, cocycle_defect,
                                defect_set, edge_ball_group, half_ball_rigid_stabilizers, in_Uc,
@@ -384,28 +384,13 @@ def test_swap_count_equals_fixing_count_for_legal_colorings():
         assert B.type_preserving.order() == B.graft.count()
 
 
-def test_edge_ball_group_enumerates_each_leaf_once(monkeypatch):
+def test_edge_ball_group_enumerates_each_leaf_once():
     # the count-only walk sums the panels allowed at the last step: the
     # leaves they stand for are distinct group elements, as many as the
     # count and the order
-    leaves = []
-    walk = Graft._walk
-
-    def counted_leaves(self, images, *args, **kwargs):
-        v, _, kids, _ = self.plan[-1]
-        nbr = neighbors_by_color(self.ball)
-        for panels in walk(self, images, *args, **kwargs):
-            for sigma in panels:
-                leaf = list(images)
-                for u, c in kids:
-                    leaf[u] = nbr[images[v]][sigma[c]]
-                leaves.append(tuple(leaf))
-            yield panels
-
-    monkeypatch.setattr(Graft, "_walk", counted_leaves)
     for b, F in [(ball(4, 2, "edge"), cyclic(4)), (ball(3, 2, "edge"), symmetric(3))]:
-        leaves.clear()
         B = edge_ball_group(b, F)
+        leaves = [*placed_leaves(B.graft, False), *placed_leaves(B.graft, True)]
         assert B.type_preserving.order() * 2 == B.order()
         assert len(leaves) == B.enumerated_count == B.order()
         assert len(set(leaves)) == len(leaves)
@@ -448,6 +433,24 @@ def recursive_leaves(b, F, swap, forced_identity=frozenset()):
             yield from rec(idx + 1)
 
     yield from rec(0)
+
+
+def placed_leaves(graft, swap, forced_identity=frozenset()):
+    """The image tuples of all panel-compatible automorphisms, in walk order:
+    each panel allowed at the last step placed on top of `Graft._walk`, the
+    walk that `Graft._count` sums, by the test's own color lookup."""
+    images = graft._roots(swap)
+    if not graft.plan:
+        yield tuple(images)
+        return
+    v, _, kids, _ = graft.plan[-1]
+    nbr = neighbors_by_color(graft.ball)
+    for panels in graft._walk(images, forced_identity):
+        for sigma in panels:
+            leaf = list(images)
+            for u, c in kids:
+                leaf[u] = nbr[images[v]][sigma[c]]
+            yield tuple(leaf)
 
 
 def half(b, endpoint):
@@ -497,7 +500,7 @@ def test_walk_yields_the_recursive_leaves_with_their_inverses(d, r, spec, center
         branches += [(True, frozenset()), (False, half(b, 0)), (False, half(b, 1))]
     for swap, forced in branches:
         n = 0
-        for leaf, expected in zip_longest(graft._leaves(swap, forced),
+        for leaf, expected in zip_longest(placed_leaves(graft, swap, forced),
                                           recursive_leaves(b, F, swap, forced)):
             assert leaf is not None and expected is not None
             assert leaf == expected
@@ -655,12 +658,12 @@ def walk_built(B):
     graft = B.graft
     walk = lambda *leaves: PermGroup.from_elements(graft.ball.n_vertices, chain(*leaves))
     if B.type_preserving is None:
-        return [(B.group, walk(graft._leaves(False)))]
+        return [(B.group, walk(placed_leaves(graft, False)))]
     h0, h1 = half_ball_rigid_stabilizers(B)
-    return [(B.group, walk(graft._leaves(False), graft._leaves(True))),
-            (B.type_preserving, walk(graft._leaves(False))),
-            (h0, walk(graft._leaves(False, half(graft.ball, 0)))),
-            (h1, walk(graft._leaves(False, half(graft.ball, 1))))]
+    return [(B.group, walk(placed_leaves(graft, False), placed_leaves(graft, True))),
+            (B.type_preserving, walk(placed_leaves(graft, False))),
+            (h0, walk(placed_leaves(graft, False, half(graft.ball, 0)))),
+            (h1, walk(placed_leaves(graft, False, half(graft.ball, 1))))]
 
 
 # the balls pool and the vertex balls of criterion 7
@@ -707,6 +710,15 @@ def test_the_bound_proof_checks_every_generator(monkeypatch):
     monkeypatch.setattr(Graft, "_generators", lambda self: generators(self) + [(0, odd)])
     with pytest.raises(AssertionError, match=r"not in the graft set of Alt\(3\)"):
         ball_stabilizer_group(b, alternating(3))
+    # generators are wrapped unchecked: one leaf sent onto its sibling keeps
+    # every leaf's neighbourhood but not its parent's, and the refusal shows
+    # the generator as 1-indexed images
+    leaf, sibling = b.children[1]
+    bad = tuple(sibling if v == leaf else v for v in range(b.n_vertices))
+    monkeypatch.setattr(Graft, "_generators", lambda self: generators(self) + [(1, bad)])
+    with pytest.raises(AssertionError, match=r"ball generator \[1 2 3 .*\] is not in the "
+                                             r"graft set of Sym\(3\)"):
+        ball_stabilizer_group(b, symmetric(3))
     # without the center's generators the group falls short of the bound
     monkeypatch.setattr(Graft, "_generators",
                         lambda self: [(v, g) for v, g in generators(self) if v != 0])
@@ -718,6 +730,23 @@ def test_the_bound_proof_checks_every_generator(monkeypatch):
                         lambda self: [(1, g) for _, g in generators(self)])
     with pytest.raises(AssertionError, match="is not in the graft set"):
         half_ball_rigid_stabilizers(E)
+
+
+def test_structural_groups_make_no_validated_permutation(monkeypatch):
+    # tower, square and ball generators are proved bijections by their
+    # order bounds, so neither building them nor their chains checks one
+    b, F, S3 = ball(3, 2), dihedral(5), symmetric(3)
+    F.chain
+    for a in range(3):
+        S3.point_stabilizer(a)  # from_elements validates the elements it keeps
+    built = []
+    init = Permutation.__init__
+    monkeypatch.setattr(Permutation, "__init__",
+                        lambda self, images: built.append(images) or init(self, images))
+    T = wreath_tower(F, 3)
+    groups = [T.group, direct_square(T), ball_stabilizer_group(b, S3).group]
+    assert [G.order() for G in groups] == [10 ** 31, 10 ** 62, 48]
+    assert built == []
 
 
 # -- the one proved-order check: each structural group below lacks generators,

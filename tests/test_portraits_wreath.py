@@ -9,7 +9,7 @@ from treeperm import wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
 from treeperm.groups import PermGroup, alternating, cyclic, dihedral, klein4, symmetric
-from treeperm.perms import Permutation, parse_cycles
+from treeperm.perms import Permutation, _trusted, parse_cycles
 from treeperm.portraits import (Portrait, flatten, identity_portrait,
                                 portrait_compose, portrait_inverse)
 from treeperm.wreath import (direct_square, rigid_stabilizer, sylow_tower,
@@ -197,16 +197,28 @@ def test_tower_generator_local_actions_must_lie_in_the_base(monkeypatch):
     _root_generator_is(monkeypatch, vertex_generator(4, 2, (), (1, 2, 3, 0)))
     with pytest.raises(AssertionError, match=r"local action \(1 2 3 4\) outside Klein4"):
         wreath_tower(klein4(), 2).group.order()
+    # generators are wrapped unchecked: a repeated image cannot sift in F's
+    # chain, and the refusal shows it as 1-indexed images
+    _root_generator_is(monkeypatch, vertex_generator(3, 2, (), (0, 0, 2)))
+    T = wreath_tower(symmetric(3), 2)
+    assert T.group._chain is None
+    with pytest.raises(AssertionError, match=r"local action \[1 1 3\] outside Sym\(3\)"):
+        T.group.order()
 
 
 @pytest.mark.parametrize("bad, message", [
     ((1, 0, 2, 3, 4, 5), "half outside W_1"),         # odd on the left half
     ((0, 1, 2, 4, 3, 5), "half outside W_1"),         # odd on the right half
     ((3, 1, 2, 0, 4, 5), "mixes the two halves"),
+    ((0, 0, 2, 3, 4, 5), "half outside W_1"),         # repeated image in the left half
+    ((0, 1, 2, 3, 5, 5), "half outside W_1"),         # repeated image in the right half
+    # the right half reads (4 5 0) - 3 = (1 2 -3), and -3 indexes as 0, so
+    # it sifts to the identity: only the check that it keeps its half refuses it
+    ((0, 1, 2, 4, 5, 0), "mixes the two halves"),
 ])
 def test_direct_square_generators_must_lie_in_the_square(bad, message):
     square = direct_square(wreath_tower(alternating(3), 1))
-    square.generators += (Permutation(bad),)
+    square.generators += (_trusted(bad),)
     with pytest.raises(AssertionError, match=message):
         square.order()
 
