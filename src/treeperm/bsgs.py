@@ -194,16 +194,31 @@ class StabilizerChain:
     @staticmethod
     def _grow_orbit(lev: _Level, old_points: int, old_gens: int) -> None:
         """Close the orbit under the level's generators, given that its
-        first `old_points` points were scanned with its first `old_gens`."""
+        first `old_points` points were scanned with its first `old_gens`.
+
+        An orbit that already holds every point is closed as it stands.
+        Otherwise the first `old_points` points are scanned with the new
+        generators only, then the points after them, new ones included,
+        with every generator: one breadth-first pass over the orbit list,
+        so its discovery order fixes every orbit list and transversal.
+        """
         gens = lev.gens
-        new_gens = gens[old_gens:]
         orbit = lev.orbit
         tr = lev.transversal
-        idx = 0
+        if len(orbit) == len(tr[lev.point]):
+            return
+        new_gens = gens[old_gens:]
+        for u in orbit[:old_points]:
+            for g in new_gens:
+                v = g[u]
+                if v not in tr:
+                    tr[v] = _compose(g, tr[u])
+                    orbit.append(v)
+        idx = old_points
         while idx < len(orbit):
             u = orbit[idx]
             tu = tr[u]
-            for g in new_gens if idx < old_points else gens:
+            for g in gens:
                 v = g[u]
                 if v not in tr:
                     tr[v] = _compose(g, tu)

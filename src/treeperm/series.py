@@ -237,15 +237,22 @@ def pi_core(G: PermGroup, primes: frozenset[int] | set[int],
 
     Join of the normal closures <<x>> that are pi-groups; every normal
     pi-subgroup is such a join, so the result is O_pi(G).
+
+    For one prime p the scan runs over a Sylow p-subgroup S, not over G
+    (Seress §6.3): the x whose closure is a p-group are exactly the
+    non-identity elements of O_p(G), and O_p(G) lies in S.  S's sorted
+    elements are a subsequence of G's, so the scan keeps the generators
+    that a scan of G keeps (`tests/scan_oracles.py` holds that scan).
+    Several primes scan G.
     """
     for p in primes:
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
     primes = frozenset(primes)
-    elements = G.elements(caps)
+    scanned = sylow_subgroup(G, next(iter(primes)), caps) if len(primes) == 1 else G
     gens: list[Permutation] = []
     core = PermGroup(G.degree, [])
-    for x in elements:
+    for x in scanned.elements(caps):
         if x.is_identity() or core.membership(x):
             continue
         if not set(prime_factors(x.order())) <= primes:

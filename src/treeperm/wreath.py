@@ -103,18 +103,25 @@ def _tower_order_bound(F: PermGroup, n: int, gens: list[tuple]) -> int:
     generator a bijection: a local action that is not one cannot sift to
     the identity in F's chain, and bijective local actions at every
     vertex make a bijection of each level, from the root down.
+
+    A generator stops climbing at the first level where its map is the
+    identity: the map it induces on every level above is the identity
+    too, so every local action there is trivial and lies in F.
     """
     d = F.degree
+    identities = [list(range(d ** k)) for k in range(n)]
     actions: set[tuple] = set()
     for g in gens:
-        perm = g  # acts on the vertices at depth k, k = n down to 1
-        for _ in range(n):
+        perm = g
+        for k in reversed(range(n)):  # perm acts at depth k + 1, heads at depth k
             parent = [x // d for x in perm]
             child = [x % d for x in perm]
             heads = parent[::d]
             if any(parent[i::d] != heads for i in range(1, d)):
                 raise AssertionError("wreath generator is not a tree automorphism")
             actions.update(zip(*(child[i::d] for i in range(d))))
+            if heads == identities[k]:
+                break
             perm = heads
     for sigma in actions:
         if not F.chain.contains(sigma):

@@ -5,11 +5,14 @@ Each scan runs under the element cap and passes its exact count to
 no library counterpart: Tate reads |S ∩ O^p(G)| off three orders,
 criterion 8 compares the order of the joined halves, and criterion 10
 reads its core off a pointwise stabilizer; these scans check those answers.
+`pi_core_scan` scans all of G, where the library's `pi_core` scans a
+Sylow subgroup when pi is one prime.
 """
 
 from treeperm.config import DEFAULT_CAPS
 from treeperm.groups import PermGroup
 from treeperm.perms import _compose, _invert
+from treeperm.series import prime_factors
 
 
 def centralizer_scan(G, H, caps=DEFAULT_CAPS):
@@ -63,3 +66,21 @@ def _class_within(u, conjugators, within):
                 seen.add(y)
                 cls.append(y)
     return cls
+
+
+def pi_core_scan(G, primes, caps=DEFAULT_CAPS):
+    """O_pi(G) as the join of the normal closures <<x>>, x in G, that are
+    pi-groups, scanned over G's sorted elements."""
+    primes = frozenset(primes)
+    gens = []
+    core = PermGroup(G.degree, [])
+    for x in G.elements(caps):
+        if x.is_identity() or core.membership(x):
+            continue
+        if not set(prime_factors(x.order())) <= primes:
+            continue
+        ncl = G.normal_closure(PermGroup(G.degree, [x]))
+        if set(prime_factors(ncl.order())) <= primes:
+            gens.extend(ncl.generators)
+            core = PermGroup(G.degree, gens)
+    return core

@@ -104,6 +104,9 @@ GOLDEN = [
     ("series op --group Sym(8) --kind sylow --p 3", 0, "2bd9ec2d5a1973ad3b17d0c92018a8475e4eb9794e6d34e45582170f7d4282c3"),
     ("series op --group Sym(9) --kind sylow --p 2", 0, "2b8af6385d3ea5349d150dd53afca2ff6cbbb7375e00d6159775cef3c3763925"),
     ("series op --group Sym(10) --kind sylow --p 2", 0, "df2e31d1d08d88964e7aab8a471dafc12cbfac8fb7af080eb7f287ab69bb5492"),
+    # O_2(Sym(9)) = 1 from a Sylow 2-subgroup's 128 elements; Sym(9) itself
+    # is past the element cap
+    ("series op --group Sym(9) --kind core --p 2", 0, "d44dc2ccce793b190912361425e4bdf54cd883fde11822043e9cbb3f99a0ab00"),
 ]
 
 

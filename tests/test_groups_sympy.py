@@ -4,7 +4,8 @@ normal cores, pointwise stabilizers, the chain facts, the stabilizer cache;
 on the Sylow orders of Sym(n) and Alt(n) for n <= 12, past the element
 cap of the scan oracle; on the known-order chains of wreath towers with
 at most 64 leaves and of a few of their direct squares; and on the
-structural chains of the ball groups of the benchmark's pool."""
+structural chains of the ball groups of the benchmark's pool; and on
+the orders of O_p(G) and O^p(G), for random groups and named families."""
 
 import random
 
@@ -20,7 +21,8 @@ from treeperm.groups import PermGroup, alternating, parse_group_spec, symmetric 
 from treeperm.localact import (Graft, ball_stabilizer_group, edge_ball_group,  # noqa: E402
                                half_ball_rigid_stabilizers)
 from treeperm.perms import Permutation, _compose  # noqa: E402
-from treeperm.series import is_prime, prime_factors, sylow_subgroup  # noqa: E402
+from treeperm.series import (is_prime, p_residual, pi_core, prime_factors,  # noqa: E402
+                             sylow_subgroup)
 from treeperm.treeball import build_ball, legal_coloring  # noqa: E402
 from treeperm.wreath import direct_square, tower_order, wreath_tower  # noqa: E402
 
@@ -101,6 +103,32 @@ def test_chain_facts_match_sympy(case):
     assert G.derived_subgroup().order() == SG.derived_subgroup().order()
     for q in prime_factors(G.order()):
         assert sylow_subgroup(G, q).order() == SG.sylow_subgroup(q).order()
+
+
+def assert_core_and_residual_orders_match_sympy(G):
+    """|O_p(G)| is the order of the core of a Sylow p-subgroup.  O^p(G)
+    is generated by the p'-elements, so it is the normal closure of a
+    Sylow r-subgroup for each prime r other than p."""
+    SG = sym(G)
+    primes = prime_factors(G.order())
+    for q in primes:
+        assert pi_core(G, {q}).order() == sympy_normal_core(SG, SG.sylow_subgroup(q)), q
+        others = [x for r in primes if r != q for x in SG.sylow_subgroup(r).generators]
+        residual = SG.normal_closure(SymGroup(others)).order() if others else 1
+        assert p_residual(G, q).order() == residual, q
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(groups)
+def test_core_and_residual_orders_match_sympy(case):
+    gens, _, _ = case
+    assert_core_and_residual_orders_match_sympy(PermGroup(gens[0].degree, gens))
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "Sym(7)", "Alt(4)", "Alt(7)", "Dih(6)",
+                                  "Dih(12)", "Cyc(8)", "Klein4", "F20"])
+def test_core_and_residual_orders_of_named_groups_match_sympy(spec):
+    assert_core_and_residual_orders_match_sympy(parse_group_spec(spec))
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -8,7 +8,8 @@ from scan_oracles import intersection_scan
 from treeperm import wreath
 from treeperm.config import DEFAULT_CAPS
 from treeperm.errors import InputError, ResourceLimitError
-from treeperm.groups import PermGroup, alternating, cyclic, dihedral, klein4, symmetric
+from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4,
+                             parse_group_spec, symmetric)
 from treeperm.perms import Permutation, _trusted, parse_cycles
 from treeperm.portraits import (Portrait, flatten, identity_portrait,
                                 portrait_compose, portrait_inverse)
@@ -173,17 +174,17 @@ def test_vertex_generator_is_the_flattened_vertex_portrait(d):
 
 # Proof obligations behind a tower's known order: every generator is a
 # tree automorphism whose local actions lie in F.  Each case swaps the
-# root generators for a bad one and checks that the order is refused.
+# generators at one vertex for a bad one and checks that the order is refused.
 
-def _root_generator_is(monkeypatch, bad):
+def _generator_at_is(monkeypatch, site, bad):
     real = wreath.vertex_generator
     monkeypatch.setattr(wreath, "vertex_generator",
-                        lambda d, n, vertex, f: bad if vertex == () else real(d, n, vertex, f))
+                        lambda d, n, vertex, f: bad if vertex == site else real(d, n, vertex, f))
 
 
 def test_tower_generator_must_be_a_tree_automorphism(monkeypatch):
     # (2 3) on the leaves of the depth-2 binary tree splits both cones
-    _root_generator_is(monkeypatch, (0, 2, 1, 3))
+    _generator_at_is(monkeypatch, (), (0, 2, 1, 3))
     # construction proves nothing: the first use of the chain does
     for first_use in (PermGroup.order, lambda G: G.membership(Permutation.identity(4))):
         T = wreath_tower(symmetric(2), 2)
@@ -194,16 +195,64 @@ def test_tower_generator_must_be_a_tree_automorphism(monkeypatch):
 def test_tower_generator_local_actions_must_lie_in_the_base(monkeypatch):
     # a 4-cycle for both root generators: the group is a tree group of
     # order 4^5, the order law holds, yet it is not W_2(Klein4)
-    _root_generator_is(monkeypatch, vertex_generator(4, 2, (), (1, 2, 3, 0)))
+    _generator_at_is(monkeypatch, (), vertex_generator(4, 2, (), (1, 2, 3, 0)))
     with pytest.raises(AssertionError, match=r"local action \(1 2 3 4\) outside Klein4"):
         wreath_tower(klein4(), 2).group.order()
     # generators are wrapped unchecked: a repeated image cannot sift in F's
     # chain, and the refusal shows it as 1-indexed images
-    _root_generator_is(monkeypatch, vertex_generator(3, 2, (), (0, 0, 2)))
+    _generator_at_is(monkeypatch, (), vertex_generator(3, 2, (), (0, 0, 2)))
     T = wreath_tower(symmetric(3), 2)
     assert T.group._chain is None
     with pytest.raises(AssertionError, match=r"local action \[1 1 3\] outside Sym\(3\)"):
         T.group.order()
+
+
+def _leaves_swapped(n, a, b):
+    images = list(range(n))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
+# Bad generators below the root of W_3: each map is the identity on every
+# level above its vertex, where the proof stops climbing, so the fault
+# must be met on the levels below.  Vertices are 0-based child paths.
+NOT_AUTOMORPHISM = r"not a tree automorphism"
+BELOW_THE_ROOT = {
+    # leaves 11 and 12 lie below different children of vertex (1,)
+    "middle, crossing": ("Sym(3)", (1,), _leaves_swapped(27, 11, 12), NOT_AUTOMORPHISM),
+    # leaf 12 lies below (1, 1), leaf 15 below its sibling (1, 2)
+    "leaf-parent, crossing": ("Sym(3)", (1, 1), _leaves_swapped(27, 12, 15), NOT_AUTOMORPHISM),
+    "middle, 4-cycle": ("Klein4", (1,), vertex_generator(4, 3, (1,), (1, 2, 3, 0)),
+                        r"local action \(1 2 3 4\) outside Klein4"),
+    "leaf-parent, 4-cycle": ("Klein4", (1, 2), vertex_generator(4, 3, (1, 2), (1, 2, 3, 0)),
+                             r"local action \(1 2 3 4\) outside Klein4"),
+    # two children onto one: a map of the leaves that is not a bijection
+    "middle, not a bijection": ("Sym(3)", (1,), vertex_generator(3, 3, (1,), (0, 0, 2)),
+                                r"local action \[1 1 3\] outside Sym\(3\)"),
+    "leaf-parent, not a bijection": ("Sym(3)", (1, 1), vertex_generator(3, 3, (1, 1), (0, 0, 2)),
+                                     r"local action \[1 1 3\] outside Sym\(3\)"),
+}
+
+
+@pytest.mark.parametrize("case", BELOW_THE_ROOT)
+def test_tower_proof_refuses_bad_generators_below_the_root(monkeypatch, case):
+    spec, site, bad, message = BELOW_THE_ROOT[case]
+    _generator_at_is(monkeypatch, site, bad)
+    T = wreath_tower(parse_group_spec(spec), 3)
+    assert T.group._chain is None
+    with pytest.raises(AssertionError, match=message):
+        T.group.order()
+
+
+@pytest.mark.parametrize("spec", ["Sym(2)", "Sym(3)", "Klein4"])
+def test_tower_proof_accepts_an_identity_generator(spec):
+    # the identity's map is the identity on the leaf parents at once
+    F = parse_group_spec(spec)
+    T = wreath_tower(F, 3)
+    gens = [g.images for g in T.group.generators]
+    identity = tuple(range(T.leaf_count))
+    for planted in ([identity] + gens, gens + [identity], [identity]):
+        assert wreath._tower_order_bound(F, 3, planted) == tower_order(F.order(), F.degree, 3)
 
 
 @pytest.mark.parametrize("bad, message", [

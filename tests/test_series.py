@@ -4,12 +4,12 @@ from unittest import mock
 
 import pytest
 
-from scan_oracles import intersection_scan
+from scan_oracles import intersection_scan, pi_core_scan
 from treeperm import series
 from treeperm.config import DEFAULT_CAPS
-from treeperm.errors import InputError
-from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, symmetric,
-                             trivial)
+from treeperm.errors import InputError, ResourceLimitError
+from treeperm.groups import (PermGroup, alternating, cyclic, dihedral, klein4, named_group,
+                             symmetric, trivial)
 from treeperm.perms import Permutation, parse_cycles
 from treeperm.series import (frattini_quotient_rank, is_prime, p_part, p_residual,
                              p_residual_oracle, pi_core, prime_factors,
@@ -260,6 +260,38 @@ def test_pi_core_matches_normal_subgroup_scan_in_sym4():
                     if set(prime_factors(N.order())) <= primes),
                    key=lambda N: N.order())
         assert pi_core(S4, primes).equals(best)
+
+
+# every (group, prime) pair of these groups at p = 2, 3, 5 and 7
+CORE_CORPUS = ([f"Sym({n})" for n in range(2, 8)] + [f"Alt({n})" for n in range(3, 8)]
+               + [f"Dih({n})" for n in (3, 4, 5, 6, 8, 9, 10, 12)]
+               + [f"Cyc({n})" for n in (4, 6, 8, 9)] + ["Klein4", "F20"])
+
+
+@pytest.mark.parametrize("spec", CORE_CORPUS)
+def test_pi_core_of_one_prime_matches_the_scan_of_the_group(spec):
+    # O_p(G) from a Sylow subgroup's elements keeps the generators that
+    # the scan of all of G keeps
+    G = named_group(spec)
+    for p in (2, 3, 5, 7):
+        core, oracle = pi_core(G, {p}), pi_core_scan(G, {p})
+        assert core.generators == oracle.generators, (spec, p)
+        assert core.order() == oracle.order(), (spec, p)
+
+
+def test_pi_core_of_several_primes_matches_the_scan_of_the_group():
+    for spec in ["Sym(4)", "Dih(6)", "Dih(12)", "Cyc(6)", "Alt(5)"]:
+        G = named_group(spec)
+        for primes in ({2, 3}, {2, 5}, {3, 5}):
+            assert pi_core(G, primes).generators == pi_core_scan(G, primes).generators
+
+
+def test_pi_core_of_one_prime_scans_only_a_sylow_subgroup():
+    # |Sym(9)| = 362 880 is past the element cap; its Sylow subgroups are not
+    G = symmetric(9)
+    assert pi_core(G, {2}).order() == pi_core(G, {3}).order() == 1
+    with pytest.raises(ResourceLimitError, match="element enumeration"):
+        pi_core(G, {2, 3})
 
 
 def test_p_residual_examples():
