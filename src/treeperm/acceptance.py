@@ -231,7 +231,7 @@ def criterion_09_survey(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) -> 
             raise AssertionError(f"gen-by-stabs classes: {sorted(gen_by_stabs)}")
         if not all(r.oracle_agrees for r in rows):
             raise AssertionError("exhaustive oracle disagrees with BSGS facts")
-        rep = evaluate(5, alternating(5), symmetric(5), caps)
+        rep = evaluate(5, alternating(5), symmetric(5))
         wanted = ("Gc_nondiscrete", "Gc_virtually_simple", "Gc_in_R")
         if not all(rep.verdict(n).value and rep.verdict(n).applicable for n in wanted):
             raise AssertionError("(Alt(5), Sym(5)) verdicts wrong")
@@ -321,15 +321,15 @@ def criterion_12_eta(caps: Caps = DEFAULT_CAPS, seed: int = DEFAULT_SEED) -> Acc
                 if not cls.is_transitive:
                     continue
                 F = cls.rep
-                e2 = eta_estimate(F, 2, caps)
-                e3 = eta_estimate(F, 3, caps)
+                e2 = eta_estimate(F, 2)
+                e3 = eta_estimate(F, 3)
                 stab_primes = frozenset(prime_factors(F.point_stabilizer(0).order()))
                 if not (e2 == e3 == stab_primes):
                     raise AssertionError(
                         f"eta mismatch for d={d}, |F|={cls.order}: "
                         f"{sorted(e2)} / {sorted(e3)} / {sorted(stab_primes)}")
                 checked += 1
-        if eta_estimate(alternating(5), 2, caps) != frozenset({2, 3}):
+        if eta_estimate(alternating(5), 2) != frozenset({2, 3}):
             raise AssertionError("eta(Alt(5), d=5) != {2, 3}")
         return f"{checked} transitive classes over d in 3..5; depth-2/3 estimates stable"
     return _result("eta-estimate", None, run)

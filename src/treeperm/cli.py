@@ -74,14 +74,18 @@ def _plain(o: object) -> dict:
 
 
 def emit(result: object, args: argparse.Namespace, caps: Caps, t0: float) -> None:
-    envelope = {
-        "tool_version": TOOL_VERSION,
-        "seed": args.seed,
-        "caps": caps,
-        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
-        "result": result,
-    }
-    text = json.dumps(envelope, indent=2, sort_keys=True, default=_plain) + "\n"
+    """Write `result` in its JSON envelope, or as it is if it is text (a
+    rendered table), to the `--out` file or to stdout."""
+    text = result
+    if not isinstance(result, str):
+        envelope = {
+            "tool_version": TOOL_VERSION,
+            "seed": args.seed,
+            "caps": caps,
+            "wall_time_ms": int((time.perf_counter() - t0) * 1000),
+            "result": result,
+        }
+        text = json.dumps(envelope, indent=2, sort_keys=True, default=_plain) + "\n"
     out = getattr(args, "out", None)
     if out:
         outdir = os.environ.get("TREEPERM_OUTDIR")
@@ -108,7 +112,7 @@ def _group_summary(G: PermGroup) -> dict:
 def cmd_criteria_check(args, caps) -> tuple[object, int]:
     F = parse_group_spec(args.F)
     Fp = parse_group_spec(args.Fprime)
-    report = evaluate(args.d, F, Fp, caps)
+    report = evaluate(args.d, F, Fp)
     return report, 0 if report.sandwich_ok else 2
 
 
@@ -133,14 +137,11 @@ def render_survey_table(doc: dict) -> str:
                      for line in lines) + "\n"
 
 
-def cmd_criteria_survey(args, caps) -> tuple[dict, int]:
+def cmd_criteria_survey(args, caps) -> tuple[dict | str, int]:
     rows = survey(args.d, transitive_only=args.transitive_only, caps=caps)
     doc = {"d": args.d, "transitive_only": args.transitive_only,
            "rows": rows}
-    if args.format == "table":
-        sys.stdout.write(render_survey_table(doc))
-        return None, 0
-    return doc, 0
+    return (render_survey_table(doc) if args.format == "table" else doc), 0
 
 
 def cmd_wreath_build(args, caps) -> tuple[dict, int]:
@@ -333,7 +334,7 @@ def cmd_selftest(args, caps) -> tuple[dict, int]:
     ok = all(r.ok and r.within_budget for r in results)
     return {
         "criteria": [{"name": r.name, "ok": r.ok, "within_budget": r.within_budget,
-                      "elapsed_s": round(r.elapsed, 1), "detail": r.detail}
+                      "detail": r.detail}
                      for r in results],
         "all_pass": ok,
     }, 0 if ok else 1
@@ -344,7 +345,7 @@ def cmd_selftest(args, caps) -> tuple[dict, int]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for randomized property checks")
-    p.add_argument("--out", help="write JSON here instead of stdout "
+    p.add_argument("--out", help="write the output here instead of stdout "
                                  "(TREEPERM_OUTDIR prefixes the path)")
     for f in fields(Caps):
         if f.name != "pair_cap":
@@ -470,8 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         caps = _caps_from_args(args)
         result, code = args.handler(args, caps)
-        if result is not None:
-            emit(result, args, caps, t0)
+        emit(result, args, caps, t0)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,16 +12,13 @@ certifies only the finite hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .groups import PermGroup, symmetric
 from .perms import _compose
-from .series import prime_factors, p_part
+from .series import prime_factors
 from .subgroups import SubgroupClass, enumerate_subgroups_up_to_conjugacy
-from .treeball import TreeBall, build_ball, legal_coloring
-from .localact import Graft
 
 CITES = {
     "nondiscrete": ("restricted universal groups are non-discrete exactly when F "
@@ -81,8 +78,8 @@ def compute_facts(F: PermGroup, Fp: PermGroup) -> dict:
 def oracle_facts(F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> dict:
     """The same facts by exhaustive closure only: no stabilizer chains.
 
-    Reads each group's cached `elements`, the chain-free closure that a
-    Graft over it has already built; no fact depends on element order.
+    Reads each group's cached `elements`, a chain-free closure; no fact
+    depends on element order.
     """
     f_elems = F.elements(caps)
     fp_elems = f_elems if Fp is F else Fp.elements(caps)
@@ -158,7 +155,7 @@ def verdicts_from_facts(facts: dict) -> list[Verdict]:
     ]
 
 
-def evaluate(d: int, F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> CriterionReport:
+def evaluate(d: int, F: PermGroup, Fp: PermGroup) -> CriterionReport:
     """Full criteria report for the pair (F, F') at degree d."""
     if F.degree != d or Fp.degree != d:
         raise InputError(f"local groups must have degree {d}")
@@ -166,46 +163,33 @@ def evaluate(d: int, F: PermGroup, Fp: PermGroup, caps: Caps = DEFAULT_CAPS) -> 
     return CriterionReport(
         inputs={"d": d, "F": F.name or "custom", "Fprime": Fp.name or "custom"},
         facts=facts, verdicts=verdicts_from_facts(facts),
-        eta=sorted(eta_estimate(F, 2, caps)) if d >= 3 else [],
+        eta=sorted(eta_estimate(F, 2)) if d >= 3 else [],
         sandwich_ok=facts["F_le_Fp"] and facts["Fp_le_young_F"],
     )
 
 
 # -- local prime content estimate ---------------------------------------------
 
-def ball_stabilizer_order(F: PermGroup, radius: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """Order of the radius-r vertex-ball stabilizer with panels in F.
+def eta_estimate(F: PermGroup, depth: int) -> frozenset[int]:
+    """Primes whose p-part of the vertex-ball stabilizer order grows at
+    `depth`: a finite proxy for the local prime content, which for
+    transitive F and depth >= 2 is the primes of a point stabilizer.
 
-    Computed from the exact graft-count product, so it works far past
-    the exhaustive-generation cap.
-    """
-    if radius == 0:
-        return 1
-    return Graft(_legal_vertex_ball(F.degree, radius, caps), F, caps).count()
-
-
-@lru_cache(maxsize=32)
-def _legal_vertex_ball(d: int, radius: int, caps: Caps) -> TreeBall:
-    """The legally colored vertex ball of one shape, shared by every F.
-    A cap refusal is raised again on each call: exceptions are not cached."""
-    return legal_coloring(build_ball(d, radius, "vertex", caps))
-
-
-def eta_estimate(F: PermGroup, depth: int, caps: Caps = DEFAULT_CAPS) -> frozenset[int]:
-    """Primes whose p-part of the ball-stabilizer order grows at `depth`.
-
-    Finite proxy for the local prime content: for transitive F and
-    depth >= 2 this equals the primes dividing a point stabilizer.
+    That order is the legal ball's graft count: |F| at the center times
+    |F_c| = |F| / |c^F| at every other interior vertex, c its inward color.
+    The center hands out each color once and every other vertex all but
+    its inward one, so each color is inward at (d-1)^(k-1) vertices of
+    depth k, and from radius depth-1 to depth >= 2 the order grows by a
+    positive power of prod_c |F_c|.  So eta(F, 1) is the primes of |F|,
+    and eta(F, depth >= 2) the primes of |F| / |O| over F's orbits O.
     """
     if depth < 1:
         raise InputError("eta estimate needs depth >= 1")
-    before = ball_stabilizer_order(F, depth - 1, caps)
-    after = ball_stabilizer_order(F, depth, caps)
-    primes = set()
-    for p in prime_factors(after):
-        if p_part(after, p) > p_part(before, p):
-            primes.add(p)
-    return frozenset(primes)
+    if F.degree < 3:
+        raise InputError(f"tree arity must be >= 3, got {F.degree}")
+    order = F.order()
+    lengths = [1] if depth == 1 else map(len, F.orbits())
+    return frozenset(p for n in lengths for p in prime_factors(order // n))
 
 
 # -- survey over subgroup classes ----------------------------------------------
@@ -261,7 +245,7 @@ def survey(d: int, transitive_only: bool = False, caps: Caps = DEFAULT_CAPS) -> 
         F = cls.rep
         label = class_label(cls, d, idx)
         # F <= F <= Young(F) always holds, so every row's sandwich is ok
-        report = replace(evaluate(d, F, F, caps),
+        report = replace(evaluate(d, F, F),
                          inputs={"d": d, "F": label, "Fprime": label})
         rows.append(SurveyRow(
             label=label,

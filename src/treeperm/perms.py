@@ -43,11 +43,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return _trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
-        """Build from 0-indexed cycles."""
+        """Build from 0-indexed cycles: in range and disjoint, so a bijection."""
         images = list(range(degree))
         seen = set()  # points of every cycle so far, 1-cycles included
         for cycle in cycles:
@@ -60,7 +60,7 @@ class Permutation:
                 seen.add(a)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
-        return cls(images)
+        return _trusted(tuple(images))
 
     @property
     def degree(self) -> int:

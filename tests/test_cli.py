@@ -270,6 +270,32 @@ def test_out_file_and_outdir_env(tmp_path, monkeypatch, capsys):
     assert doc["result"]["subgroup"]["order"] == 3
 
 
+def test_survey_table_follows_out(tmp_path, monkeypatch, capsys):
+    table = ["criteria", "survey", "--d", "3", "--format", "table"]
+    _, shown, _ = run_cli(capsys, *table)
+    monkeypatch.setenv("TREEPERM_OUTDIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *table, "--out", "t.txt")
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / "t.txt").read_text() == shown
+    (tmp_path / "dir").mkdir()
+    code, out, err = run_cli(capsys, *table, "--out", "dir")
+    assert (code, out) == (1, "")
+    assert err == f"error: --out: cannot write {tmp_path / 'dir'}: Is a directory\n"
+
+
+def test_selftest_json_carries_no_timing(monkeypatch, capsys):
+    from treeperm import acceptance
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [acceptance.criterion_05_wreath_order_law, acceptance.criterion_12_eta])
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 0
+    body = out[out.index("{"):]
+    entries = parse_json(body)["result"]["criteria"]
+    assert [e["name"] for e in entries] == ["wreath-order-law", "eta-estimate"]
+    for entry in entries:
+        assert set(entry) == {"name", "ok", "within_budget", "detail"}
+
+
 def test_tree_ball_from_coloring_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tree", "ball", "--d", "3", "--radius", "1")
     doc = parse_json(out)["result"]
@@ -670,21 +696,19 @@ def test_leaf_cap_zero_still_refuses_the_root_leaf(capsys):
 
 
 def test_survey_bytes_are_the_same_cold_and_warm(capsys):
-    from treeperm.criteria import _legal_vertex_ball
-    _legal_vertex_ball.cache_clear()
+    from treeperm.subgroups import _classes
+    _classes.cache_clear()
     outs = []
     for _ in range(2):
         code, out, _ = run_cli(capsys, "criteria", "survey", "--d", "5")
         assert code == 0
         outs.append(re.sub(r'"wall_time_ms": \d+', "", out))
-    assert _legal_vertex_ball.cache_info().hits > 0
+    assert _classes.cache_info().hits > 0
     assert outs[0] == outs[1]
 
 
 def test_survey_cap_refusals_are_raised_again_after_the_classes_were_cached(capsys):
-    from treeperm.criteria import _legal_vertex_ball
     from treeperm.subgroups import _classes
-    _legal_vertex_ball.cache_clear()
     _classes.cache_clear()
     survey = ["criteria", "survey", "--d", "5"]
     code, first, _ = run_cli(capsys, *survey)
@@ -704,10 +728,13 @@ def test_survey_cap_refusals_are_raised_again_after_the_classes_were_cached(caps
     assert strip(again) == strip(first)
 
 
-def test_tree_vertex_cap_refuses_after_the_ball_was_cached(capsys):
+def test_criteria_check_answers_under_tree_and_element_caps(capsys):
+    # eta is read off |F| and F's orbits: no ball is built, no element listed
     check = ["criteria", "check", "--d", "5", "--F", "Sym(5)", "--Fprime", "Sym(5)"]
-    assert run_cli(capsys, *check)[0] == 0
-    code, out, err = run_cli(capsys, *check, "--tree-vertex-cap", "20")
-    assert (code, out) == (1, "")
-    assert err == ("error: tree vertices cap exceeded: requested 26, cap 20 "
-                   "(raise with --tree-vertex-cap)\n")
+    code, out, _ = run_cli(capsys, *check)
+    assert code == 0
+    expected = json.loads(out)["result"]
+    for flag in ("--tree-vertex-cap", "20"), ("--element-cap", "0"):
+        code, out, err = run_cli(capsys, *check, *flag)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == expected

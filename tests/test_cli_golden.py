@@ -107,6 +107,10 @@ GOLDEN = [
     # O_2(Sym(9)) = 1 from a Sylow 2-subgroup's 128 elements; Sym(9) itself
     # is past the element cap
     ("series op --group Sym(9) --kind core --p 2", 0, "d44dc2ccce793b190912361425e4bdf54cd883fde11822043e9cbb3f99a0ab00"),
+    # criteria past the element cap: eta is read off |F| and F's orbits, and
+    # the results equal the graft-count eta's under --element-cap 2000000
+    ("criteria check --d 9 --F Sym(9) --Fprime Sym(9)", 0, "b1c7198c679f56ab8c3763bff3d7322b07301f119fb763f69b8345b7b291da4c"),
+    ("criteria check --d 10 --F Alt(10) --Fprime Sym(10)", 0, "ca5d9d4de38babab7e3f6ab94a0d57f7323051274ee069db3a38441f568b870a"),
 ]
 
 

@@ -129,7 +129,7 @@ def test_class_labels_name_the_families():
         assert expected in labels, labels
 
 
-# -- shared per-shape balls and the cached-closure oracle ----------------------
+# -- the graft-count oracle for eta and the cached-closure oracle --------------
 
 def _sym_classes(degrees=(3, 4, 5)):
     from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
@@ -137,30 +137,65 @@ def _sym_classes(degrees=(3, 4, 5)):
             for cls in enumerate_subgroups_up_to_conjugacy(symmetric(d))]
 
 
-def test_ball_stabilizer_order_equals_an_uncached_graft_count():
-    from treeperm.criteria import ball_stabilizer_order
+def _eta_corpus():
+    """(F, depth) pairs: every class of Sym(3..5) at depths 1-3, transitive or
+    not, every class of Sym(6) at depths 1-2, and nine named groups at 1-2."""
+    from treeperm.groups import klein4
+    from treeperm.subgroups import enumerate_subgroups_up_to_conjugacy
+    cases = [(F, depth) for F in _sym_classes() for depth in (1, 2, 3)]
+    cases += [(cls.rep, depth) for cls in enumerate_subgroups_up_to_conjugacy(symmetric(6))
+              for depth in (1, 2)]
+    named = [symmetric(7), symmetric(8), alternating(7), alternating(8), dihedral(7),
+             dihedral(8), cyclic(7), frobenius20(), klein4()]
+    return cases + [(F, depth) for F in named for depth in (1, 2)]
+
+
+def test_eta_estimate_equals_the_graft_count_oracle():
+    """eta is the set of primes whose p-part of the legal vertex-ball graft
+    count grows from radius depth-1 to radius depth."""
     from treeperm.localact import Graft
+    from treeperm.series import p_part
     from treeperm.treeball import build_ball, legal_coloring
-    for F in _sym_classes():
-        for radius in range(4):
-            fresh = legal_coloring(build_ball(F.degree, radius, "vertex"))
-            assert ball_stabilizer_order(F, radius) == Graft(fresh, F).count(), \
-                (F.generators, radius)
+    balls = {}
+
+    def graft_count(F, radius):
+        key = (F.degree, radius)
+        if key not in balls:
+            balls[key] = legal_coloring(build_ball(F.degree, radius, "vertex"))
+        return Graft(balls[key], F).count()
+
+    cases = _eta_corpus()
+    assert len(cases) == 232
+    for F, depth in cases:
+        before, after = graft_count(F, depth - 1), graft_count(F, depth)
+        grown = frozenset(p for p in prime_factors(after) if p_part(after, p) > p_part(before, p))
+        assert eta_estimate(F, depth) == grown, (F.generators, depth)
 
 
-def test_ball_cache_still_refuses_a_lower_tree_vertex_cap():
-    from treeperm.config import DEFAULT_CAPS
-    from treeperm.criteria import ball_stabilizer_order
-    from treeperm.errors import ResourceLimitError
-    F = symmetric(5)
-    ball_stabilizer_order(F, 2)  # 26 vertices, cached under the default caps
-    low = DEFAULT_CAPS.with_overrides(tree_vertex_cap=10)
-    for _ in range(2):  # a refusal is never cached
-        with pytest.raises(ResourceLimitError) as info:
-            ball_stabilizer_order(F, 2, low)
-        assert str(info.value) == ("tree vertices cap exceeded: requested 26, "
-                                   "cap 10 (raise with --tree-vertex-cap)")
-    assert ball_stabilizer_order(F, 2) == 120 * 24 ** 5
+def test_eta_estimate_refusals():
+    with pytest.raises(InputError, match="^eta estimate needs depth >= 1$"):
+        eta_estimate(symmetric(3), 0)
+    for d in (1, 2):
+        with pytest.raises(InputError, match=f"^tree arity must be >= 3, got {d}$"):
+            eta_estimate(symmetric(d), 2)
+
+
+def test_criteria_builds_no_tree_ball_and_no_graft():
+    """eta is read off orbit lengths: `criteria` imports neither `treeball`
+    nor `localact`, and caches nothing with `lru_cache`."""
+    import ast
+    from pathlib import Path
+
+    import treeperm.criteria
+    source = Path(treeperm.criteria.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert not names & {"treeball", "localact", "lru_cache"}, names
 
 
 def _closure_ordered(G):

@@ -141,3 +141,19 @@ def test_order_is_the_lcm_of_cycle_lengths(images):
     p = Permutation(images)
     assert p.order() == math.lcm(*map(len, p.cycles()))
     assert (p ** p.order()).is_identity()
+
+
+def test_powers_and_young_groups_validate_nothing(monkeypatch):
+    # identity and from_cycles build bijections by construction, so neither
+    # `g ** p` in the p-residual step nor the Young group's cycles is checked
+    from treeperm.groups import PermGroup, symmetric
+    from treeperm.series import p_residual_series
+    G, F = symmetric(5), PermGroup(5, [parse_cycles("(1 2)(3 4)", 5)])
+    built = []
+    init = Permutation.__init__
+    monkeypatch.setattr(Permutation, "__init__",
+                        lambda self, images: built.append(images) or init(self, images))
+    assert [N.order() for N in p_residual_series(G, 2)] == [120, 60]
+    assert F.young_group().order() == 4
+    assert Permutation.identity(3).images == (0, 1, 2)
+    assert built == []
